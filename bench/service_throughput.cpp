@@ -31,7 +31,7 @@
 
 #include "BenchCommon.h"
 #include "distrib/Router.h"
-#include "distrib/Wire.h"
+#include "service/LineConn.h"
 #include "service/Server.h"
 
 #include <benchmark/benchmark.h>
@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <future>
 #include <map>
 #include <thread>
@@ -195,8 +194,8 @@ struct BenchReplica {
 };
 
 /// Pushes every request through the router once from \p Clients concurrent
-/// client threads (Router::handleLine is thread-safe; each forward opens
-/// its own connection, like independent CLI clients). Returns wall seconds.
+/// client threads (Router::handleLine is thread-safe; concurrent forwards
+/// draw separate pooled replica connections). Returns wall seconds.
 double routedPass(distrib::Router &R,
                   const std::vector<std::string> &Requests,
                   unsigned Clients) {
@@ -269,71 +268,39 @@ bool runRouterScaling(RequestCorpus &RC) {
 
 /// A Unix-socket proxy that fronts one replica and delays every request by
 /// a fixed amount — a deterministic "slow peer" for the tail measurement.
-/// Each accepted connection is served on its own thread so hedged primary
-/// legs that are still sleeping never queue behind fresh requests.
+/// Each connection has its own LineServer handler, so hedged primary legs
+/// that are still sleeping never queue behind fresh requests.
 struct DelayProxy {
-  std::string Path;
-  std::string Backend;
   unsigned DelayMs = 0;
-  int ListenFd = -1;
-  volatile int Stop = 0;
+  std::unique_ptr<service::ConnPool> Backend;
+  service::LineServer Conns{service::DefaultMaxLineBytes,
+                            [this](std::string Line) {
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(DelayMs));
+                              std::string Resp, Err;
+                              if (!Backend->roundTrip(Line, Resp, &Err))
+                                return service::errorResponse("", "internal",
+                                                              Err);
+                              return Resp;
+                            }};
+  std::atomic<bool> Stop{false};
   std::thread Acceptor;
-  std::vector<std::thread> Conns;
-  std::mutex ConnMu;
 
-  bool start(std::string SockPath, std::string BackendPath, unsigned Ms) {
-    Path = std::move(SockPath);
-    Backend = std::move(BackendPath);
+  bool start(const std::string &SockPath, std::string BackendPath,
+             unsigned Ms) {
     DelayMs = Ms;
-    distrib::Address Addr;
-    Addr.Path = Path;
-    ListenFd = distrib::wireListen(Addr);
-    if (ListenFd < 0)
+    Backend = std::make_unique<service::ConnPool>(std::move(BackendPath));
+    if (!Conns.listen(SockPath))
       return false;
-    Acceptor = std::thread([this] { acceptLoop(); });
+    Acceptor = std::thread(
+        [this] { Conns.run(50, [this] { return Stop.load(); }); });
     return true;
   }
 
-  void acceptLoop() {
-    while (!Stop) {
-      int Fd = distrib::wireAccept(ListenFd, 50);
-      if (Fd < 0)
-        continue;
-      std::lock_guard<std::mutex> G(ConnMu);
-      Conns.emplace_back([this, Fd] { serveOne(Fd); });
-    }
-  }
-
-  void serveOne(int Fd) {
-    std::string Line;
-    char C;
-    while (read(Fd, &C, 1) == 1 && C != '\n')
-      Line.push_back(C);
-    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    std::string Resp;
-    if (!Line.empty() && distrib::clientRoundTrip(Backend, Line, Resp)) {
-      Resp.push_back('\n');
-      size_t Off = 0;
-      while (Off < Resp.size()) {
-        ssize_t W = write(Fd, Resp.data() + Off, Resp.size() - Off);
-        if (W <= 0)
-          break;
-        Off += static_cast<size_t>(W);
-      }
-    }
-    close(Fd);
-  }
-
   ~DelayProxy() {
-    Stop = 1;
+    Stop = true;
     if (Acceptor.joinable())
       Acceptor.join();
-    std::lock_guard<std::mutex> G(ConnMu);
-    for (std::thread &T : Conns)
-      T.join();
-    if (ListenFd >= 0)
-      close(ListenFd);
-    unlink(Path.c_str());
   }
 };
 
@@ -384,7 +351,7 @@ bool runHedgedTail(RequestCorpus &RC) {
   }
 
   distrib::RouterConfig Cfg;
-  Cfg.Replicas = {Fast.Path, Slow.Path};
+  Cfg.Replicas = {Fast.Path, Base + "_slow.sock"};
   std::printf("  \"hedged_runs\": [\n");
   for (int Hedged = 0; Hedged <= 1; ++Hedged) {
     Cfg.HedgeMs = Hedged ? HedgeMs : 0;

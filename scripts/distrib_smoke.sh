@@ -12,6 +12,9 @@
 #   3. `uspec route` in front of two serve replicas: routed `query analyze`
 #      responses are byte-identical to one-shot `analyze --json`; stats fan
 #      out; a broadcast `reload` swaps both replicas live.
+#      2000 routed `uspec query` requests leave each replica's thread
+#      count under a small fixed bound (pooled router->replica connections,
+#      reaped connection handlers).
 #   4. kill -9 of a replica: the routed query answers `replica_down` once,
 #      and `query --retries` deterministically fails over to the survivor.
 #   5. A routed `shutdown` broadcast drains replicas and router cleanly.
@@ -105,6 +108,30 @@ for i in 0 1 2 3; do
   fi
 done
 [ "$fail" -eq 0 ] && echo "   4 routed responses byte-identical"
+
+echo "== 2000 routed queries: replica threads stay bounded"
+# Every `uspec query` is a new client connection to the router, which
+# forwards over its pooled, persistent replica connections. A replica's
+# threads (main, 2 workers, watchdog, one handler per pooled connection)
+# must not grow with the number of requests routed through it.
+THREAD_BOUND=$((2 + 8)) # --workers 2 above, plus 8
+for i in $(seq 0 1999); do
+  echo "$WORK/corpus/prog$((i % 20)).mini"
+done | xargs -P 4 -n 1 "$USPEC" query --socket "$WORK/router.sock" \
+  analyze > /dev/null || {
+  echo "FAIL: a routed query failed during the 2000-query run" >&2
+  fail=1
+}
+for pid in "$R0" "$R1"; do
+  threads=$(awk '/^Threads:/ {print $2}' "/proc/$pid/status")
+  if [ "$threads" -gt "$THREAD_BOUND" ]; then
+    echo "FAIL: replica $pid has $threads threads after 2000 routed" \
+      "queries (bound $THREAD_BOUND)" >&2
+    fail=1
+  else
+    echo "   replica $pid: $threads threads (bound $THREAD_BOUND)"
+  fi
+done
 
 echo "== stats fan-out"
 stats=$("$USPEC" query --socket "$WORK/router.sock" stats)

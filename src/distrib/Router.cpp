@@ -6,7 +6,6 @@
 
 #include "distrib/Router.h"
 
-#include "distrib/Wire.h"
 #include "service/Protocol.h"
 #include "support/EventLog.h"
 #include "support/FaultInject.h"
@@ -14,21 +13,24 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <mutex>
 #include <thread>
 
-#include <sys/socket.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::distrib;
 
-Router::Router(RouterConfig C) : Config(std::move(C)) {
+Router::Router(RouterConfig C)
+    : Config(std::move(C)),
+      Conns(service::DefaultMaxLineBytes,
+            [this](std::string Line) { return handleLine(Line); }) {
   {
     struct timespec Ts;
     ::clock_gettime(CLOCK_REALTIME, &Ts);
@@ -44,6 +46,9 @@ Router::Router(RouterConfig C) : Config(std::move(C)) {
   for (size_t I = 0; I < N; ++I)
     Warm.push_back(std::make_unique<WarmSet>());
   Sup.resize(N);
+  Pools.reserve(N);
+  for (const std::string &Addr : Config.Replicas)
+    Pools.push_back(std::make_unique<service::ConnPool>(Addr));
   // The ring is a pure function of (replica addresses, vnode count):
   // restarts and every router instance over the same fleet agree on
   // ownership. Removing a replica only reassigns the keys it owned — the
@@ -233,7 +238,7 @@ size_t Router::replayWarmKeys(size_t Replica) {
   size_t Replayed = 0;
   for (const std::string &Line : Lines) {
     std::string Response, Err;
-    if (clientRoundTrip(Config.Replicas[Replica], Line, Response, &Err))
+    if (Pools[Replica]->roundTrip(Line, Response, &Err))
       ++Replayed;
   }
   WarmReplays.fetch_add(Replayed, std::memory_order_relaxed);
@@ -284,8 +289,7 @@ bool Router::recoverReplica(size_t Replica) {
     return false;
   std::string Response, Err;
   bool ProbeOk =
-      clientRoundTrip(Config.Replicas[Replica], probeLineFor(Replica),
-                      Response, &Err) &&
+      Pools[Replica]->roundTrip(probeLineFor(Replica), Response, &Err) &&
       responseOk(Response);
   if (!ProbeOk) {
     noteReplicaDown(Replica, "recover_probe");
@@ -316,9 +320,8 @@ void Router::spawnReplica(size_t Replica) {
   if (Child == 0) {
     pid_t Grand = ::fork();
     if (Grand == 0) {
-      // Don't leak the router's listen/connection fds into the replica.
-      for (int Fd = 3; Fd < 256; ++Fd)
-        ::close(Fd);
+      // Every socket the router holds is close-on-exec (LineConn.h), so
+      // none of them leaks into the replica.
       ::execl("/bin/sh", "sh", "-c", Cmd.c_str(), (char *)nullptr);
       ::_exit(127);
     }
@@ -342,8 +345,7 @@ void Router::superviseTick() {
     try {
       if (!USPEC_FAULT_SOFT("router.probe")) {
         std::string Response, Err;
-        ProbeOk = clientRoundTrip(Config.Replicas[I], probeLineFor(I),
-                                  Response, &Err) &&
+        ProbeOk = Pools[I]->roundTrip(probeLineFor(I), Response, &Err) &&
                   responseOk(Response);
       }
     } catch (const FaultInjected &) {
@@ -426,7 +428,7 @@ std::string Router::fanOut(const std::string &Id, std::string_view TraceId,
   std::vector<std::pair<bool, std::string>> Results(numReplicas());
   for (size_t I = 0; I < numReplicas(); ++I) {
     std::string Response, Err;
-    if (clientRoundTrip(Config.Replicas[I], Probe, Response, &Err)) {
+    if (Pools[I]->roundTrip(Probe, Response, &Err)) {
       if (isDown(I)) {
         // Same rejoin discipline as the supervisor: warm replay before the
         // replica takes traffic again.
@@ -557,7 +559,7 @@ std::string Router::broadcastReload(const std::string &Line,
   std::string Payload = "{\"replicas\":[";
   for (size_t I = 0; I < numReplicas(); ++I) {
     std::string Response, Err;
-    bool Ok = clientRoundTrip(Config.Replicas[I], Line, Response, &Err) &&
+    bool Ok = Pools[I]->roundTrip(Line, Response, &Err) &&
               responseOk(Response);
     if (Ok) {
       replayWarmKeys(I);
@@ -606,28 +608,34 @@ unsigned Router::hedgeDelayMs() const {
 
 namespace {
 
-/// Shared slots for one hedged request. The handler thread owns decisions;
-/// the two round-trip threads only deposit results here, so the loser can
-/// be safely detached past the handler's (and even the Router's) lifetime.
-struct HedgeState {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  unsigned DoneMask = 0;
-  bool Ok[2] = {false, false};
-  std::string Response[2];
-};
-
-void launchLeg(const std::shared_ptr<HedgeState> &St, unsigned Slot,
-               std::string Addr, std::string Line) {
-  std::thread([St, Slot, Addr = std::move(Addr), Line = std::move(Line)] {
-    std::string Response, Err;
-    bool Ok = clientRoundTrip(Addr, Line, Response, &Err);
-    std::lock_guard<std::mutex> Lock(St->Mu);
-    St->Ok[Slot] = Ok;
-    St->Response[Slot] = std::move(Response);
-    St->DoneMask |= 1u << Slot;
-    St->Cv.notify_all();
-  }).detach();
+/// Advances the unfinished calls (in order, so a primary's answer is read
+/// first) until one has answered, all have finished, or \p Deadline passed.
+void awaitCalls(std::initializer_list<service::PooledCall *> Calls,
+                std::chrono::steady_clock::time_point Deadline) {
+  for (;;) {
+    pollfd Fds[2];
+    service::PooledCall *Owners[2];
+    nfds_t N = 0;
+    for (service::PooledCall *C : Calls) {
+      if (C->ok())
+        return;
+      if (!C->done()) {
+        Fds[N] = {C->fd(), POLLIN, 0};
+        Owners[N++] = C;
+      }
+    }
+    auto Left = std::chrono::ceil<std::chrono::milliseconds>(
+        Deadline - std::chrono::steady_clock::now());
+    if (N == 0 || Left.count() <= 0)
+      return;
+    int Ready = ::poll(Fds, N, static_cast<int>(std::min<int64_t>(
+                                   Left.count(), 1 << 30)));
+    if (Ready < 0 && errno != EINTR)
+      Owners[0]->step(); // poll itself failed: block on the first leg
+    for (nfds_t I = 0; I < N && Ready > 0; ++I)
+      if (Fds[I].revents)
+        Owners[I]->step();
+  }
 }
 
 /// The hedge leg carries `"no_cache":true`, the dedup rule: a non-owner
@@ -653,25 +661,23 @@ std::string Router::forwardHedged(const service::Request &Req,
       Span.arg("trace_id", Req.TraceId);
   }
   auto Start = std::chrono::steady_clock::now();
-  auto St = std::make_shared<HedgeState>();
-  launchLeg(St, 0, Config.Replicas[Primary], Line);
-
-  std::unique_lock<std::mutex> Lock(St->Mu);
-  bool PrimaryDone = St->Cv.wait_for(
-      Lock, std::chrono::milliseconds(DelayMs),
-      [&] { return (St->DoneMask & 1u) != 0; });
-
-  if (PrimaryDone && St->Ok[0]) {
-    std::string Response = std::move(St->Response[0]);
-    Lock.unlock();
+  // Both legs run on this thread, polled: no helper threads, and a losing
+  // leg's connection is closed with its PooledCall, never pooled mid-request.
+  service::PooledCall P(*Pools[Primary], Line);
+  awaitCalls({&P}, Start + std::chrono::milliseconds(DelayMs));
+  // Record under the owner either way: once it answers (or rejoins), these
+  // are the keys its cache partition should hold.
+  auto Answered = [&](std::string &Response) {
     Forwarded.fetch_add(1, std::memory_order_relaxed);
     ForwardLatency.recordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
             .count());
     recordHotLine(Primary, Req, Line);
-    return Response;
-  }
+    return std::move(Response);
+  };
+  if (P.ok())
+    return Answered(P.Response);
 
   // Primary slow (or already failed): fire the hedge at the next live ring
   // owner and take the first byte-identical success.
@@ -680,54 +686,23 @@ std::string Router::forwardHedged(const service::Request &Req,
     events::emit("hedge_fired", {{"primary", std::to_string(Primary)},
                                  {"secondary", std::to_string(Secondary)},
                                  {"trace_id", Req.TraceId}});
-  launchLeg(St, 1, Config.Replicas[Secondary], hedgeLineFor(Line));
-  St->Cv.wait(Lock, [&] {
-    // Wake when either leg succeeded or both finished.
-    if (((St->DoneMask & 1u) && St->Ok[0]) ||
-        ((St->DoneMask & 2u) && St->Ok[1]))
-      return true;
-    return St->DoneMask == 3u;
-  });
-
-  bool PrimaryFinished = (St->DoneMask & 1u) != 0;
-  bool SecondaryFinished = (St->DoneMask & 2u) != 0;
-  // First success wins. When both are in, prefer the primary (owner) so
-  // its cache entry is the one recorded hot — the answers are
-  // byte-identical either way.
-  if (PrimaryFinished && St->Ok[0]) {
-    std::string Response = std::move(St->Response[0]);
-    Lock.unlock();
-    Forwarded.fetch_add(1, std::memory_order_relaxed);
-    ForwardLatency.recordSeconds(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count());
-    recordHotLine(Primary, Req, Line);
-    return Response;
-  }
-  if (SecondaryFinished && St->Ok[1]) {
-    std::string Response = std::move(St->Response[1]);
-    bool PrimaryFailed = PrimaryFinished && !St->Ok[0];
-    Lock.unlock();
-    Forwarded.fetch_add(1, std::memory_order_relaxed);
+  service::PooledCall S(*Pools[Secondary], hedgeLineFor(Line));
+  awaitCalls({&P, &S}, std::chrono::steady_clock::time_point::max());
+  // First success wins. When both are in, prefer the primary (owner) — the
+  // answers are byte-identical either way.
+  if (P.ok())
+    return Answered(P.Response);
+  if (S.ok()) {
     HedgedWins.fetch_add(1, std::memory_order_relaxed);
     if (events::enabled())
       events::emit("hedge_won", {{"secondary", std::to_string(Secondary)},
                                  {"trace_id", Req.TraceId}});
-    ForwardLatency.recordSeconds(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count());
-    if (PrimaryFailed)
+    if (P.done())
       noteReplicaDown(Primary, "hedge_primary_failed");
-    // Record under the owner: once it answers (or rejoins), these are the
-    // keys its cache partition should hold.
-    recordHotLine(Primary, Req, Line);
-    return Response;
+    return Answered(S.Response);
   }
 
   // Both legs failed.
-  Lock.unlock();
   noteReplicaDown(Primary, "hedge_both_failed");
   noteReplicaDown(Secondary, "hedge_both_failed");
   ReplicaDownErrors.fetch_add(1, std::memory_order_relaxed);
@@ -765,7 +740,7 @@ std::string Router::forward(const service::Request &Req,
   }
   auto Start = std::chrono::steady_clock::now();
   std::string Response, Err;
-  if (clientRoundTrip(Config.Replicas[R], Line, Response, &Err)) {
+  if (Pools[R]->roundTrip(Line, Response, &Err)) {
     Forwarded.fetch_add(1, std::memory_order_relaxed);
     ForwardLatency.recordSeconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -816,8 +791,7 @@ std::string Router::handleLine(const std::string &Line) {
     StopRequested.store(true, std::memory_order_release);
     for (size_t I = 0; I < numReplicas(); ++I) {
       std::string Response, E2;
-      clientRoundTrip(Config.Replicas[I], "{\"verb\":\"shutdown\"}", Response,
-                      &E2);
+      Pools[I]->roundTrip("{\"verb\":\"shutdown\"}", Response, &E2);
     }
     return service::okResponse(Req.Id, "{\"stopping\":true}", Req.TraceId);
   }
@@ -832,42 +806,13 @@ std::string Router::handleLine(const std::string &Line) {
 }
 
 //===----------------------------------------------------------------------===//
-// Socket serving (modeled on service::Server's accept loop)
+// Socket serving
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-bool sendAllBytes(int Fd, const char *Data, size_t Len) {
-  size_t Sent = 0;
-  while (Sent < Len) {
-    ssize_t N = ::send(Fd, Data + Sent, Len - Sent, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Sent += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-} // namespace
 
 int Router::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag) {
-  std::string Err;
-  Address Addr;
-  Addr.Tcp = false;
-  Addr.Path = Path;
-  int ListenFd = wireListen(Addr, &Err);
-  if (ListenFd < 0) {
+  if (!Conns.listen(Path))
     return 1;
-  }
-
-  std::mutex ConnMu;
-  std::vector<int> ConnFds;
-  std::vector<std::thread> Threads;
-
   auto Stopped = [&] {
     return (StopFlag && *StopFlag) ||
            StopRequested.load(std::memory_order_acquire);
@@ -889,61 +834,8 @@ int Router::serveUnixSocket(const std::string &Path,
       }
     });
 
-  while (!Stopped()) {
-    int Client = wireAccept(ListenFd, static_cast<int>(Config.AcceptPollMs));
-    if (Client == -1)
-      continue; // poll timeout: re-check the stop flags
-    if (Client < 0)
-      break;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      ConnFds.push_back(Client);
-    }
-    Threads.emplace_back([this, Client, &ConnMu, &ConnFds] {
-      std::string Buffer;
-      char Chunk[65536];
-      for (;;) {
-        ssize_t N = ::recv(Client, Chunk, sizeof(Chunk), 0);
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0)
-          break;
-        Buffer.append(Chunk, static_cast<size_t>(N));
-        size_t Pos;
-        while ((Pos = Buffer.find('\n')) != std::string::npos) {
-          std::string Line = Buffer.substr(0, Pos);
-          Buffer.erase(0, Pos + 1);
-          if (!Line.empty() && Line.back() == '\r')
-            Line.pop_back();
-          if (Line.empty())
-            continue;
-          std::string Response = handleLine(Line);
-          Response += '\n';
-          if (!sendAllBytes(Client, Response.data(), Response.size()))
-            break;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> Lock(ConnMu);
-        ConnFds.erase(std::remove(ConnFds.begin(), ConnFds.end(), Client),
-                      ConnFds.end());
-      }
-      ::close(Client);
-    });
-  }
-
+  Conns.run(Config.AcceptPollMs, Stopped);
   if (Supervisor.joinable())
     Supervisor.join();
-
-  // Wake blocked readers so their threads observe EOF and exit.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  ::close(ListenFd);
-  ::unlink(Path.c_str());
   return 0;
 }

@@ -16,7 +16,9 @@
 /// broadcasts for zero-downtime fleet-wide model swaps; a dead replica
 /// yields a structured `replica_down` error (transient — `uspec query
 /// --retries` retries it) and deterministic failover: the ring walk skips
-/// down replicas, so the retry lands on the next live owner.
+/// down replicas, so the retry lands on the next live owner. All replica
+/// traffic travels over one pool of persistent connections per replica
+/// (service/LineConn.h), opened on first use.
 ///
 /// Self-healing layers on top of that base:
 ///
@@ -32,7 +34,8 @@
 ///    observed p95 forward latency), the request is fired at the next live
 ///    ring owner with `"no_cache":true` (so the non-owner never pollutes
 ///    its cache partition) and the first successful answer wins — both
-///    answers are byte-identical by the determinism contract.
+///    answers are byte-identical by the determinism contract. Both legs
+///    are polled on the handler thread; no thread is spawned per request.
 ///  - **Warm-cache handoff**: per replica, a small LRU of the hottest
 ///    forwarded request lines (keys + request text, never response
 ///    payloads). On rejoin and after a confirmed broadcast reload the
@@ -44,6 +47,7 @@
 #ifndef USPEC_DISTRIB_ROUTER_H
 #define USPEC_DISTRIB_ROUTER_H
 
+#include "service/LineConn.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
@@ -152,6 +156,9 @@ public:
   /// Returns a process exit code.
   int serveUnixSocket(const std::string &Path, const volatile int *StopFlag);
 
+  /// The socket transport's connection counters.
+  const service::LineServer &connections() const { return Conns; }
+
   uint64_t hedgedCount() const { return Hedged.load(); }
   uint64_t hedgedWinsCount() const { return HedgedWins.load(); }
   uint64_t respawnsCount() const { return Respawns.load(); }
@@ -219,6 +226,9 @@ private:
   double StartTimeUnix = 0;
   std::chrono::steady_clock::time_point StartSteady;
 
+  /// Idle connections to each replica, shared by forwards, hedge legs,
+  /// probes, fan-out, broadcasts and warm replay.
+  std::vector<std::unique_ptr<service::ConnPool>> Pools;
   std::vector<std::unique_ptr<WarmSet>> Warm; ///< One per replica.
   std::mutex SupMu;
   std::vector<SupState> Sup; ///< One per replica; guarded by SupMu.
@@ -240,6 +250,8 @@ private:
   mutable std::atomic<uint64_t> Rejoins{0};     ///< Down→up transitions.
   mutable std::atomic<uint64_t> WarmReplays{0}; ///< Hot lines replayed.
   mutable std::atomic<uint64_t> ProbeFailures{0};
+
+  service::LineServer Conns; ///< The serveUnixSocket transport.
 };
 
 } // namespace distrib

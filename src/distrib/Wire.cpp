@@ -8,6 +8,7 @@
 
 #include "artifact/ArtifactIO.h"
 #include "artifact/Container.h"
+#include "service/LineConn.h"
 
 #include <arpa/inet.h>
 #include <cerrno>
@@ -16,7 +17,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace uspec;
@@ -95,7 +95,7 @@ bool resolveIPv4(const std::string &Host, in_addr &Out) {
 
 int uspec::distrib::wireListen(const Address &Addr, std::string *Err) {
   if (Addr.Tcp) {
-    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (Fd < 0) {
       fillErrno(Err, "socket");
       return -1;
@@ -121,27 +121,7 @@ int uspec::distrib::wireListen(const Address &Addr, std::string *Err) {
     return Fd;
   }
 
-  sockaddr_un Sa{};
-  Sa.sun_family = AF_UNIX;
-  if (Addr.Path.size() >= sizeof(Sa.sun_path)) {
-    if (Err)
-      *Err = "socket path too long: " + Addr.Path;
-    return -1;
-  }
-  std::memcpy(Sa.sun_path, Addr.Path.c_str(), Addr.Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    fillErrno(Err, "socket");
-    return -1;
-  }
-  ::unlink(Addr.Path.c_str()); // discard a stale socket from a dead process
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa)) < 0 ||
-      ::listen(Fd, 64) < 0) {
-    fillErrno(Err, ("bind/listen " + Addr.str()).c_str());
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
+  return service::unixSocket(Addr.Path, /*Listen=*/true, Err);
 }
 
 int uspec::distrib::wireAccept(int ListenFd, unsigned PollMs) {
@@ -156,14 +136,14 @@ int uspec::distrib::wireAccept(int ListenFd, unsigned PollMs) {
     return -1;
   int Fd;
   do {
-    Fd = ::accept(ListenFd, nullptr, nullptr);
+    Fd = ::accept4(ListenFd, nullptr, nullptr, SOCK_CLOEXEC);
   } while (Fd < 0 && errno == EINTR);
   return Fd < 0 ? -2 : Fd;
 }
 
 int uspec::distrib::wireConnect(const Address &Addr, std::string *Err) {
   if (Addr.Tcp) {
-    int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (Fd < 0) {
       fillErrno(Err, "socket");
       return -1;
@@ -192,29 +172,7 @@ int uspec::distrib::wireConnect(const Address &Addr, std::string *Err) {
     return Fd;
   }
 
-  sockaddr_un Sa{};
-  Sa.sun_family = AF_UNIX;
-  if (Addr.Path.size() >= sizeof(Sa.sun_path)) {
-    if (Err)
-      *Err = "socket path too long: " + Addr.Path;
-    return -1;
-  }
-  std::memcpy(Sa.sun_path, Addr.Path.c_str(), Addr.Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    fillErrno(Err, "socket");
-    return -1;
-  }
-  int Rc;
-  do {
-    Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa));
-  } while (Rc < 0 && errno == EINTR);
-  if (Rc < 0) {
-    fillErrno(Err, ("connect " + Addr.str()).c_str());
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
+  return service::unixSocket(Addr.Path, /*Listen=*/false, Err);
 }
 
 namespace {
@@ -295,45 +253,7 @@ bool uspec::distrib::recvFrame(int Fd, std::string &Payload,
 bool uspec::distrib::clientRoundTrip(const std::string &SocketPath,
                                      const std::string &RequestLine,
                                      std::string &Response, std::string *Err) {
-  Address A;
-  A.Path = SocketPath;
-  int Fd = wireConnect(A, Err);
-  if (Fd < 0)
-    return false;
-  std::string Line = RequestLine;
-  if (Line.empty() || Line.back() != '\n')
-    Line.push_back('\n');
-  if (!sendAll(Fd, Line.data(), Line.size(), Err)) {
-    ::close(Fd);
-    return false;
-  }
-  Response.clear();
-  char Buf[4096];
-  for (;;) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      fillErrno(Err, "recv");
-      ::close(Fd);
-      return false;
-    }
-    if (N == 0)
-      break;
-    Response.append(Buf, static_cast<size_t>(N));
-    size_t Newline = Response.find('\n');
-    if (Newline != std::string::npos) {
-      Response.resize(Newline);
-      break;
-    }
-  }
-  ::close(Fd);
-  if (Response.empty()) {
-    if (Err)
-      *Err = "empty response from " + SocketPath;
-    return false;
-  }
-  return true;
+  return service::ConnPool(SocketPath).roundTrip(RequestLine, Response, Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -96,8 +96,9 @@ bool sendFrame(int Fd, std::string_view Payload, std::string *Err = nullptr);
 bool recvFrame(int Fd, std::string &Payload, std::string *Err = nullptr);
 
 /// One-shot newline-delimited JSON round trip against a Unix-socket service
-/// (a serve replica or the router). The service_throughput bench and the
-/// distrib tests drive replicas through this.
+/// (a serve replica or the router) on a fresh connection, closed
+/// afterwards. Tests and benches drive replicas through this; the router
+/// itself uses pooled connections.
 bool clientRoundTrip(const std::string &SocketPath,
                      const std::string &RequestLine, std::string &Response,
                      std::string *Err = nullptr);

@@ -14,19 +14,12 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <istream>
 #include <ostream>
 #include <sstream>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::service;
@@ -123,7 +116,10 @@ Server::Server(ServerConfig ConfigIn, ServiceSpecs SpecsIn)
 Server::Server(ServerConfig ConfigIn, ModelState ModelIn)
     : Config(ConfigIn),
       Model(std::make_shared<const ModelState>(std::move(ModelIn))),
-      Cache(Config.CacheCapacity, Config.CacheShards) {
+      Cache(Config.CacheCapacity, Config.CacheShards),
+      Conns(Config.MaxRequestBytes, [this](std::string Line) {
+        return submit(std::move(Line)).get();
+      }) {
   EffectiveWorkers =
       Config.Workers ? Config.Workers
                      : std::max(1u, std::thread::hardware_concurrency());
@@ -729,144 +725,33 @@ int Server::serveStream(std::istream &In, std::ostream &Out) {
 // Unix-domain socket transport
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Writes all of \p Data to \p Fd (MSG_NOSIGNAL: a vanished client must not
-/// SIGPIPE the server). Returns false on error.
-bool sendAll(int Fd, std::string_view Data) {
-  while (!Data.empty()) {
-    ssize_t N = ::send(Fd, Data.data(), Data.size(), MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data.remove_prefix(static_cast<size_t>(N));
-  }
-  return true;
-}
-
-} // namespace
-
 int Server::serveUnixSocket(const std::string &Path,
                             const volatile int *StopFlag,
                             volatile int *ReloadFlag) {
-  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Listen < 0)
+  if (!Conns.listen(Path))
     return 1;
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    ::close(Listen);
-    return 1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  ::unlink(Path.c_str());
-  if (::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
-      ::listen(Listen, 64) < 0) {
-    ::close(Listen);
-    return 1;
-  }
-
-  std::mutex ConnMutex;
-  std::vector<int> OpenFds; // guarded by ConnMutex; -1 = closed
-  std::vector<std::thread> ConnThreads;
-
-  auto ConnectionLoop = [&](int Fd, size_t Slot) {
-    std::string Buffer;
-    char Chunk[65536];
-    bool Alive = true;
-    while (Alive) {
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0)
-        break;
-      Buffer.append(Chunk, static_cast<size_t>(N));
-      // A line that exceeds the request cap can never frame correctly
-      // again; answer once and drop the connection.
-      if (Buffer.find('\n') == std::string::npos &&
-          Buffer.size() > Config.MaxRequestBytes) {
-        sendAll(Fd, errorResponse("", "oversized",
-                                  "request line exceeds the " +
-                                      std::to_string(Config.MaxRequestBytes) +
-                                      "-byte limit") +
-                        "\n");
-        break;
-      }
-      size_t Start = 0;
-      for (size_t Nl = Buffer.find('\n', Start); Nl != std::string::npos;
-           Nl = Buffer.find('\n', Start)) {
-        std::string Line = Buffer.substr(Start, Nl - Start);
-        Start = Nl + 1;
-        if (!Line.empty() && Line.back() == '\r')
-          Line.pop_back();
-        if (Line.empty())
-          continue;
-        std::string Response = submit(std::move(Line)).get();
-        Response += "\n";
-        if (!sendAll(Fd, Response)) {
-          Alive = false;
-          break;
+  Conns.run(
+      Config.AcceptPollMs,
+      [&] { return draining() || (StopFlag && *StopFlag); },
+      [&] {
+        if (!ReloadFlag || !*ReloadFlag)
+          return;
+        // SIGHUP-driven hot swap, on the accept thread: workers keep
+        // answering under the old snapshot for the duration of the load.
+        *ReloadFlag = 0;
+        std::string Err;
+        if (reloadModel("", &Err)) {
+          std::shared_ptr<const ModelState> M = model();
+          std::fprintf(stderr,
+                       "uspec-serve reloaded model generation=%llu specs=%zu "
+                       "from %s\n",
+                       static_cast<unsigned long long>(M->Generation),
+                       M->Specs.Lines.size(), M->Source.c_str());
+        } else {
+          std::fprintf(stderr, "uspec-serve reload failed: %s\n",
+                       Err.c_str());
         }
-      }
-      Buffer.erase(0, Start);
-    }
-    ::close(Fd);
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    OpenFds[Slot] = -1;
-  };
-
-  for (;;) {
-    if (draining() || (StopFlag && *StopFlag))
-      break;
-    if (ReloadFlag && *ReloadFlag) {
-      // SIGHUP-driven hot swap, on the accept thread: workers keep
-      // answering under the old snapshot for the duration of the load.
-      *ReloadFlag = 0;
-      std::string Err;
-      if (reloadModel("", &Err)) {
-        std::shared_ptr<const ModelState> M = model();
-        std::fprintf(stderr,
-                     "uspec-serve reloaded model generation=%llu specs=%zu "
-                     "from %s\n",
-                     static_cast<unsigned long long>(M->Generation),
-                     M->Specs.Lines.size(), M->Source.c_str());
-      } else {
-        std::fprintf(stderr, "uspec-serve reload failed: %s\n", Err.c_str());
-      }
-    }
-    pollfd Pfd{Listen, POLLIN, 0};
-    // Poll interval from config (ServerConfig::AcceptPollMs): it bounds how
-    // stale the drain/StopFlag check above can get, i.e. worst-case shutdown
-    // latency while idle.
-    int Ready = ::poll(&Pfd, 1, static_cast<int>(Config.AcceptPollMs));
-    if (Ready < 0 && errno != EINTR)
-      break;
-    if (Ready <= 0)
-      continue;
-    int Fd = ::accept(Listen, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    size_t Slot = OpenFds.size();
-    OpenFds.push_back(Fd);
-    ConnThreads.emplace_back(ConnectionLoop, Fd, Slot);
-  }
-
-  ::close(Listen);
-  ::unlink(Path.c_str());
-  // Wake connection readers: after drain their submissions would only earn
-  // `shutting_down` errors anyway.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : OpenFds)
-      if (Fd >= 0)
-        ::shutdown(Fd, SHUT_RD);
-  }
-  for (std::thread &T : ConnThreads)
-    T.join();
+      });
   drain();
   return 0;
 }

@@ -28,9 +28,10 @@
 ///    `shutting_down` error, then workers join.
 ///
 /// Transports: serveStream (newline-delimited JSON over any iostream pair —
-/// `uspec serve` uses stdin/stdout) and serveUnixSocket (SOCK_STREAM
-/// Unix-domain socket, one reader thread per connection — `uspec query`
-/// connects here). Both are thin shells over submit().
+/// `uspec serve` uses stdin/stdout) and serveUnixSocket (a Unix-domain
+/// socket served by the shared LineServer accept loop, service/LineConn.h —
+/// `uspec query` and the router connect here). Both are thin shells over
+/// submit().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,7 @@
 #define USPEC_SERVICE_SERVER_H
 
 #include "service/Cache.h"
+#include "service/LineConn.h"
 #include "service/Metrics.h"
 #include "service/Protocol.h"
 
@@ -64,8 +66,9 @@ struct ServerConfig {
   /// Result cache budget in analyzed programs.
   size_t CacheCapacity = 256;
   unsigned CacheShards = 8;
-  /// Request lines longer than this are answered `oversized` unparsed.
-  size_t MaxRequestBytes = 4 << 20;
+  /// Request lines longer than this are answered `oversized` unparsed
+  /// (over the socket, the connection is dropped after the answer).
+  size_t MaxRequestBytes = DefaultMaxLineBytes;
   /// Default per-request deadline in ms (`serve --request-timeout`);
   /// 0 = none. A request's own `deadline_ms` takes precedence. Expired
   /// requests are answered with a structured `deadline_exceeded` error by
@@ -173,6 +176,8 @@ public:
   std::string metricsText();
 
   const ServiceMetrics &metrics() const { return Metrics; }
+  /// The socket transport's connection counters.
+  const LineServer &connections() const { return Conns; }
   ServiceMetrics &metrics() { return Metrics; }
 
   /// Snapshot of the serving model. Cheap (one mutex-guarded shared_ptr
@@ -197,7 +202,8 @@ public:
 
   /// Binds \p Path (unlinking any stale socket file), accepts connections
   /// until drain or \p StopFlag becomes nonzero (a SIGTERM handler sets
-  /// it), serving each connection's requests in order. A nonzero
+  /// it), serving each connection's requests in order on a handler thread
+  /// that is reaped when the connection closes. A nonzero
   /// \p ReloadFlag (the CLI's SIGHUP handler sets it) is cleared and the
   /// model reloaded from ServerConfig::ModelPath on the accept thread —
   /// never a worker — so queries keep flowing during the load; a failed
@@ -280,6 +286,7 @@ private:
   std::mutex ReloadMutex; ///< Serializes reloadModel() end to end.
   AnalysisCache Cache;
   ServiceMetrics Metrics;
+  LineServer Conns; ///< The serveUnixSocket transport.
 
   mutable std::mutex QueueMutex;
   std::condition_variable QueueCv;    ///< Signals workers: work or stop.

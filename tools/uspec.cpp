@@ -74,9 +74,11 @@
 //                 [--sink M]... [--sanitizer M]... | specs | cachekeys
 //                 | stats | metrics | reload [ARTIFACT] | shutdown
 //                 | --json REQUEST)
-//       One-shot client for a running `uspec serve --socket` instance.
-//       Prints the result payload (byte-identical to `analyze --json` for
-//       the analyze verb); errors go to stderr with exit 1. --retries N
+//       One-shot client for a running `uspec serve --socket` or `uspec
+//       route` instance, on the shared line client (service/LineConn.h)
+//       with one connection kept across retries. Prints the result
+//       payload (byte-identical to `analyze --json` for the analyze
+//       verb); errors go to stderr with exit 1. --retries N
 //       retries transient failures (connection errors, `overloaded`) with
 //       deterministic seeded exponential backoff.
 //
@@ -146,6 +148,7 @@
 #include "eventgraph/Dot.h"
 #include "incremental/Journal.h"
 #include "incremental/Trainer.h"
+#include "service/LineConn.h"
 #include "service/Server.h"
 #include "specs/SpecIO.h"
 #include "support/EventLog.h"
@@ -167,8 +170,6 @@
 #include <sstream>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace uspec;
@@ -1604,75 +1605,16 @@ int cmdRoute(Args &A) {
 // query
 //===----------------------------------------------------------------------===//
 
-/// Connects to a `uspec serve --socket` instance, sends \p RequestLine, and
-/// reads one response line into \p ResponseLine.
-bool roundTrip(const std::string &SocketPath, const std::string &RequestLine,
+/// Sends \p RequestLine to a `uspec serve` or `uspec route` socket over
+/// \p Conn — which reconnects by itself after a failure — and reads one
+/// response line into \p ResponseLine. Failures are reported on stderr.
+bool roundTrip(service::ConnPool &Conn, const std::string &RequestLine,
                std::string &ResponseLine) {
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    std::fprintf(stderr, "error: socket: %s\n", std::strerror(errno));
-    return false;
-  }
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (SocketPath.size() >= sizeof(Addr.sun_path)) {
-    std::fprintf(stderr, "error: socket path too long: %s\n",
-                 SocketPath.c_str());
-    ::close(Fd);
-    return false;
-  }
-  std::memcpy(Addr.sun_path, SocketPath.c_str(), SocketPath.size() + 1);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    std::fprintf(stderr, "error: connect %s: %s\n", SocketPath.c_str(),
-                 std::strerror(errno));
-    ::close(Fd);
-    return false;
-  }
-
-  std::string Wire = RequestLine;
-  Wire += '\n';
-  size_t Sent = 0;
-  while (Sent < Wire.size()) {
-    ssize_t N = ::send(Fd, Wire.data() + Sent, Wire.size() - Sent,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      std::fprintf(stderr, "error: send: %s\n", std::strerror(errno));
-      ::close(Fd);
-      return false;
-    }
-    Sent += static_cast<size_t>(N);
-  }
-
-  ResponseLine.clear();
-  char Buf[65536];
-  for (;;) {
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      std::fprintf(stderr, "error: recv: %s\n", std::strerror(errno));
-      ::close(Fd);
-      return false;
-    }
-    if (N == 0)
-      break;
-    ResponseLine.append(Buf, static_cast<size_t>(N));
-    size_t Nl = ResponseLine.find('\n');
-    if (Nl != std::string::npos) {
-      ResponseLine.resize(Nl);
-      break;
-    }
-  }
-  ::close(Fd);
-  if (ResponseLine.empty()) {
-    std::fprintf(stderr, "error: server closed the connection without a "
-                         "response\n");
-    return false;
-  }
-  return true;
+  std::string Err;
+  if (Conn.roundTrip(RequestLine, ResponseLine, &Err))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Err.c_str());
+  return false;
 }
 
 /// Appends `,"KEY":"VALUE"` with JSON escaping.
@@ -1862,8 +1804,9 @@ int cmdQuery(Args &A) {
   // (seed, attempt) is always the same (service::retryDelayMs), so retry
   // traces reproduce.
   std::string Response;
+  service::ConnPool Conn(SocketPath);
   for (unsigned Attempt = 0;; ++Attempt) {
-    bool Ok = roundTrip(SocketPath, Request, Response);
+    bool Ok = roundTrip(Conn, Request, Response);
     const char *Reason = nullptr;
     if (!Ok)
       Reason = "connection failed";
@@ -2288,9 +2231,10 @@ int cmdObsTop(const std::vector<const char *> &Pos) {
     sigaction(SIGTERM, &SA, nullptr);
     sigaction(SIGINT, &SA, nullptr);
   }
+  service::ConnPool Conn(SocketPath);
   for (;;) {
     std::string Response;
-    if (!roundTrip(SocketPath, "{\"verb\":\"stats\"}", Response))
+    if (!roundTrip(Conn, "{\"verb\":\"stats\"}", Response))
       return 1;
     service::JsonValue Doc;
     std::string Err;
