@@ -66,10 +66,11 @@ struct LearnerConfig {
   /// Seed for negative subsampling and SGD shuffling.
   uint64_t Seed = 0xC0FFEE;
   /// Worker threads for the parallel pipeline phases: per-program
-  /// analysis/graph/sampling (Phase 1–2a), sharded candidate extraction
-  /// (Phase 3) and per-candidate scoring (Phase 4). 0 = hardware
-  /// concurrency. Results are bit-identical for any thread count — sampling
-  /// is seeded per program, extraction shards merge deterministically, and
+  /// analysis/graph/sampling (Phase 1–2a), per-model training (Phase 2b),
+  /// sharded candidate extraction (Phase 3) and per-candidate scoring
+  /// (Phase 4). 0 = hardware concurrency. Results are bit-identical for any
+  /// thread count — sampling is seeded per program, each model sees the
+  /// serial update order, extraction shards merge deterministically, and
   /// scoring writes per-candidate slots.
   unsigned Threads = 0;
   /// Per-program step budget for Phase 1 analysis and Phase 3 extraction

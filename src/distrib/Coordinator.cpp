@@ -626,30 +626,28 @@ std::optional<LearnResult> Coordinator::run(std::optional<WarmStart> Warm,
   }
   Result.Stats.AnalyzeSeconds = Phase.lap();
 
-  // Phase 2b at the coordinator: concatenate samples in shard order (=
+  // Phase 2b at the coordinator: flatten the samples in shard order (=
   // corpus order; shards are contiguous ascending) and train — the exact
-  // sample sequence a single-process run feeds Model.train.
+  // training set a single-process run builds.
   {
-    std::vector<TrainingSample> Samples;
+    std::vector<std::vector<TrainingSample>> PerProgram;
+    PerProgram.reserve(N);
     for (const ShardPlan &P : Shards)
-      for (std::vector<TrainingSample> &Per : Analyzed[P.Id].Samples) {
-        Samples.insert(Samples.end(),
-                       std::make_move_iterator(Per.begin()),
-                       std::make_move_iterator(Per.end()));
-        Per.clear();
-      }
+      for (std::vector<TrainingSample> &Per : Analyzed[P.Id].Samples)
+        PerProgram.push_back(std::move(Per));
+    TrainingSet Set = TrainingSet::flatten(PerProgram, Config.Threads);
     if (Warm) {
       Model = std::move(Warm->Model);
-      Result.NumTrainingSamples = Warm->BaseTrainingSamples + Samples.size();
+      Result.NumTrainingSamples = Warm->BaseTrainingSamples + Set.size();
     } else {
       Model = EdgeModel(Config.Model);
-      Result.NumTrainingSamples = Samples.size();
+      Result.NumTrainingSamples = Set.size();
     }
-    Result.Stats.TrainingSamples = Samples.size();
-    Model.train(Samples);
-    Result.TrainAccuracy = Model.accuracy(Samples);
-    Result.Stats.TrainSeconds = Phase.lap();
+    Result.Stats.TrainingSamples = Set.size();
+    Model.train(Set, Config.Threads);
+    Result.TrainAccuracy = Model.accuracy(Set, Config.Threads);
   }
+  Result.Stats.TrainSeconds = Phase.lap();
 
   // Round 2: Phase 3 across workers, ledgers merged left-to-right.
   runExtractRound();

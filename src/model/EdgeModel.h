@@ -17,18 +17,13 @@
 
 #include "model/Features.h"
 #include "model/LogisticRegression.h"
+#include "model/TrainingSet.h"
 #include "support/Random.h"
 
 #include <map>
 #include <vector>
 
 namespace uspec {
-
-/// One labeled training sample.
-struct TrainingSample {
-  EdgeFeatures Features;
-  float Label = 0; ///< 1 = edge exists, 0 = non-edge.
-};
 
 /// Training/prediction configuration.
 struct EdgeModelConfig {
@@ -45,20 +40,34 @@ public:
   explicit EdgeModel(EdgeModelConfig Config = EdgeModelConfig())
       : Config(Config) {}
 
-  /// Trains the per-position-pair models; shuffles samples internally
-  /// (deterministically from Config.Seed).
-  void train(std::vector<TrainingSample> Samples);
+  /// Trains the per-position-pair models on \p Set, continuing from any
+  /// models already present, on up to \p Threads workers (0 = hardware
+  /// concurrency). Each epoch visits the samples in one permutation drawn
+  /// from Config.Seed; each model trains on its own samples in that order,
+  /// in parallel with the others, so the weights are bit-identical at any
+  /// thread count (DESIGN.md §8).
+  void train(const TrainingSet &Set, unsigned Threads = 1);
+  void train(const std::vector<TrainingSample> &Samples, unsigned Threads = 1) {
+    train(TrainingSet(Samples), Threads);
+  }
 
   /// ϕ(ftr) for a pre-extracted feature vector. Position pairs never seen
   /// during training fall back to probability 0.5.
-  double predict(const EdgeFeatures &Features) const;
+  double predict(const EdgeFeatures &Features) const {
+    return predict(Features.PosKey, Features.Hashes);
+  }
+  double predict(uint16_t PosKey, std::span<const uint32_t> Hashes) const;
 
   /// Convenience: extract (without pruning) and predict the probability of
   /// the potential edge (E1, E2) in \p G.
   double edgeProbability(const EventGraph &G, EventId E1, EventId E2) const;
 
-  /// Fraction of \p Samples classified correctly at threshold 0.5.
-  double accuracy(const std::vector<TrainingSample> &Samples) const;
+  /// Fraction of \p Set classified correctly at threshold 0.5, counted on
+  /// up to \p Threads workers.
+  double accuracy(const TrainingSet &Set, unsigned Threads = 1) const;
+  double accuracy(const std::vector<TrainingSample> &Samples) const {
+    return accuracy(TrainingSet(Samples));
+  }
 
   /// Number of per-position-pair models instantiated.
   size_t numModels() const { return Models.size(); }

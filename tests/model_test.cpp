@@ -313,3 +313,98 @@ TEST(EdgeModel, UnseenPosKeyFallsBackToHalf) {
   F.Hashes = {1, 2, 3};
   EXPECT_DOUBLE_EQ(Model.predict(F), 0.5);
 }
+
+//===----------------------------------------------------------------------===//
+// The flat training set and the vector adapters
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+TrainingSample sample(uint16_t Key, std::vector<uint32_t> Hashes, float Label) {
+  TrainingSample S;
+  S.Features.PosKey = Key;
+  S.Features.Hashes = std::move(Hashes);
+  S.Label = Label;
+  return S;
+}
+
+void expectSameSamples(const TrainingSet &Set,
+                       const std::vector<TrainingSample> &Samples) {
+  ASSERT_EQ(Set.size(), Samples.size());
+  for (size_t I = 0; I < Samples.size(); ++I) {
+    EXPECT_EQ(Set.key(I), Samples[I].Features.PosKey) << I;
+    EXPECT_EQ(Set.label(I), Samples[I].Label) << I;
+    std::span<const uint32_t> H = Set.hashes(I);
+    EXPECT_EQ(std::vector<uint32_t>(H.begin(), H.end()),
+              Samples[I].Features.Hashes)
+        << I;
+  }
+}
+
+/// Samples of the EdgeModel fixture corpus above: one program, several
+/// seeds.
+std::vector<TrainingSample> fixtureSamples() {
+  ModelFixture F;
+  EventGraph G = F.graph(R"(
+    class Main {
+      def main() {
+        var map = new Map();
+        map.put("a", db.getFile("f"));
+        var x = map.get("a");
+        x.getName();
+        x.close();
+        rocket.launch();
+      }
+    }
+  )");
+  std::vector<TrainingSample> Samples;
+  for (uint64_t Seed = 0; Seed < 30; ++Seed) {
+    Rng Rand(Seed);
+    collectTrainingSamples(G, Rand, Samples);
+  }
+  return Samples;
+}
+
+} // namespace
+
+TEST(TrainingData, SetPreservesOrderKeysLabelsAndHashes) {
+  std::vector<TrainingSample> Samples = {
+      sample(7, {1, 2, 3}, 1), sample(0, {}, 0),
+      sample(35, {0xffffffffu}, 1), sample(7, {9, 9}, 0)};
+  expectSameSamples(TrainingSet(Samples), Samples);
+  EXPECT_EQ(TrainingSet(std::vector<TrainingSample>()).size(), 0u);
+  expectSameSamples(TrainingSet(fixtureSamples()), fixtureSamples());
+}
+
+TEST(TrainingData, FlattenConcatenatesAndFreesParts) {
+  std::vector<TrainingSample> All = fixtureSamples();
+  ASSERT_GT(All.size(), 10u);
+  // Uneven parts, some empty, in corpus order.
+  std::vector<std::vector<TrainingSample>> Parts(5);
+  Parts[1].assign(All.begin(), All.begin() + 3);
+  Parts[3].assign(All.begin() + 3, All.end() - 1);
+  Parts[4].assign(All.end() - 1, All.end());
+  for (unsigned Threads : {1u, 4u}) {
+    std::vector<std::vector<TrainingSample>> Copy = Parts;
+    TrainingSet Set = TrainingSet::flatten(Copy, Threads);
+    expectSameSamples(Set, All);
+    for (const std::vector<TrainingSample> &Part : Copy)
+      EXPECT_EQ(Part.capacity(), 0u) << "each part is freed once copied";
+  }
+}
+
+TEST(EdgeModel, VectorAdapterMatchesFlatPath) {
+  std::vector<TrainingSample> Samples = fixtureSamples();
+  EdgeModel ViaVector, ViaSet;
+  ViaVector.train(Samples);
+  TrainingSet Set(Samples);
+  ViaSet.train(Set, /*Threads=*/4);
+  ASSERT_EQ(ViaVector.numModels(), ViaSet.numModels());
+  for (const auto &[Key, Model] : ViaVector.models()) {
+    const LogisticRegression &Other = ViaSet.models().at(Key);
+    EXPECT_EQ(Model.bias(), Other.bias()) << Key;
+    EXPECT_EQ(Model.weights(), Other.weights()) << Key;
+  }
+  EXPECT_EQ(ViaVector.accuracy(Samples), ViaSet.accuracy(Set, 4));
+  EXPECT_GT(ViaVector.accuracy(Samples), 0.5);
+}

@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -255,6 +257,142 @@ TEST(ParallelPipeline, FullLearnResultIsThreadCountInvariant) {
     EXPECT_EQ(One.Stats.TrainingSamples, Other.Stats.TrainingSamples);
     EXPECT_EQ(One.Stats.Candidates, Other.Stats.Candidates);
     EXPECT_EQ(One.Stats.Graphs, Other.Stats.Graphs);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Phase 2b: per-model parallel SGD
+//===----------------------------------------------------------------------===//
+
+/// The serial trainer that the per-model schedule replaced, kept verbatim as
+/// the reference: one pass per epoch over the shuffled samples, each sample
+/// updating its position pair's model. Comparing against it pins the update
+/// order itself, not just agreement between thread counts.
+void referenceTrain(std::map<uint16_t, LogisticRegression> &Models,
+                    const EdgeModelConfig &Config,
+                    std::vector<TrainingSample> Samples) {
+  Rng Rand(Config.Seed);
+  double LR = Config.LearningRate;
+  for (unsigned Epoch = 0; Epoch < Config.Epochs; ++Epoch) {
+    Rand.shuffle(Samples);
+    for (const TrainingSample &S : Samples) {
+      auto It = Models.find(S.Features.PosKey);
+      if (It == Models.end())
+        It = Models.emplace(S.Features.PosKey,
+                            LogisticRegression(Config.DimBits))
+                 .first;
+      It->second.update(S.Features.Hashes, S.Label, LR, Config.L2);
+    }
+    LR *= 0.7;
+  }
+}
+
+/// Serial accuracy over \p Models, as the reference computed it.
+double referenceAccuracy(const std::map<uint16_t, LogisticRegression> &Models,
+                         const std::vector<TrainingSample> &Samples) {
+  if (Samples.empty())
+    return 0;
+  size_t Correct = 0;
+  for (const TrainingSample &S : Samples) {
+    auto It = Models.find(S.Features.PosKey);
+    double P = It == Models.end() ? 0.5 : It->second.predict(S.Features.Hashes);
+    Correct += (P >= 0.5) == (S.Label >= 0.5);
+  }
+  return static_cast<double>(Correct) / static_cast<double>(Samples.size());
+}
+
+/// Bit-for-bit equality of two model banks: same keys, same bias and weight
+/// bits.
+::testing::AssertionResult
+sameBits(const std::map<uint16_t, LogisticRegression> &A,
+         const std::map<uint16_t, LogisticRegression> &B) {
+  if (A.size() != B.size())
+    return ::testing::AssertionFailure()
+           << A.size() << " vs " << B.size() << " models";
+  for (auto IA = A.begin(), IB = B.begin(); IA != A.end(); ++IA, ++IB) {
+    const LogisticRegression &MA = IA->second, &MB = IB->second;
+    float BiasA = MA.bias(), BiasB = MB.bias();
+    if (IA->first != IB->first ||
+        std::memcmp(&BiasA, &BiasB, sizeof(float)) != 0 ||
+        MA.weights().size() != MB.weights().size() ||
+        std::memcmp(MA.weights().data(), MB.weights().data(),
+                    MA.weights().size() * sizeof(float)) != 0)
+      return ::testing::AssertionFailure() << "model " << IA->first
+                                           << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Training samples of a small generated corpus, collected as learn() does.
+std::vector<TrainingSample> corpusSamples(size_t NumPrograms) {
+  StringInterner S;
+  GeneratorConfig GenCfg;
+  GenCfg.NumPrograms = NumPrograms;
+  GenCfg.Seed = 0xBEE;
+  GeneratedCorpus Corpus = generateCorpus(javaProfile(), GenCfg, S);
+  std::vector<TrainingSample> Samples;
+  for (size_t I = 0; I < Corpus.Programs.size(); ++I) {
+    AnalysisResult R = analyzeProgram(Corpus.Programs[I], S, AnalysisOptions());
+    EventGraph G = EventGraph::build(R);
+    Rng Rand(hashValues(uint64_t(7), I));
+    collectTrainingSamples(G, Rand, Samples);
+  }
+  return Samples;
+}
+
+TEST(ParallelPipeline, EdgeModelTrainingIsThreadCountInvariant) {
+  EdgeModelConfig Config;
+  Config.DimBits = 12;
+  std::vector<TrainingSample> Samples = corpusSamples(40);
+  ASSERT_GT(Samples.size(), 200u);
+  // A position pair with exactly one sample, in the second half.
+  TrainingSample Lone;
+  Lone.Features.PosKey = 0x7fff;
+  Lone.Features.Hashes = {3, 1, 4, 1, 5};
+  Lone.Label = 1;
+  const size_t Half = Samples.size() / 2;
+  Samples.insert(Samples.begin() + Half, Lone);
+  const unsigned ThreadCounts[] = {1, 2, 4, 8};
+
+  // Cold start.
+  std::map<uint16_t, LogisticRegression> Cold;
+  referenceTrain(Cold, Config, Samples);
+  ASSERT_EQ(Cold.count(0x7fff), 1u);
+  const double ColdAccuracy = referenceAccuracy(Cold, Samples);
+  TrainingSet Set(Samples);
+  for (unsigned Threads : ThreadCounts) {
+    EdgeModel Model(Config);
+    Model.train(Set, Threads);
+    EXPECT_TRUE(sameBits(Model.models(), Cold)) << Threads << " threads";
+    EXPECT_EQ(Model.accuracy(Set, Threads), ColdAccuracy)
+        << Threads << " threads";
+  }
+
+  // Warm start, as learnIncrement runs it: models trained on the first half
+  // continue on the second half, which brings a key the first never saw.
+  std::vector<TrainingSample> First(Samples.begin(), Samples.begin() + Half);
+  std::vector<TrainingSample> Second(Samples.begin() + Half, Samples.end());
+  std::map<uint16_t, LogisticRegression> Base;
+  referenceTrain(Base, Config, First);
+  ASSERT_EQ(Base.count(0x7fff), 0u);
+  std::map<uint16_t, LogisticRegression> Warm = Base;
+  referenceTrain(Warm, Config, Second);
+  const double WarmAccuracy = referenceAccuracy(Warm, Second);
+  TrainingSet SecondSet(Second);
+  for (unsigned Threads : ThreadCounts) {
+    EdgeModel Model = EdgeModel::restore(Config, Base);
+    Model.train(SecondSet, Threads);
+    EXPECT_TRUE(sameBits(Model.models(), Warm)) << Threads << " threads";
+    EXPECT_EQ(Model.accuracy(SecondSet, Threads), WarmAccuracy)
+        << Threads << " threads";
+  }
+
+  // An empty set leaves the models untouched.
+  for (unsigned Threads : ThreadCounts) {
+    EdgeModel Model = EdgeModel::restore(Config, Base);
+    Model.train(TrainingSet(), Threads);
+    EXPECT_TRUE(sameBits(Model.models(), Base)) << Threads << " threads";
+    EXPECT_EQ(Model.accuracy(TrainingSet(), Threads), 0.0);
   }
 }
 

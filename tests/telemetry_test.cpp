@@ -440,6 +440,23 @@ TEST(TelemetryTrace, LearnTraceIsWellFormedAndNested) {
   EXPECT_NE(Args->find("index"), nullptr);
 }
 
+TEST(TelemetryTrace, LearnReleaseSpanCoversTheTeardown) {
+  // learn() frees its per-program analyses and graphs after selection, in
+  // its own span, nested in learn and after the last phase.
+  service::JsonValue Doc = tracedLearnDoc(/*Threads=*/2);
+  const service::JsonValue *Learn = findEvent(Doc, "learn");
+  const service::JsonValue *Select = findEvent(Doc, "learn.phase5_select");
+  const service::JsonValue *Release = findEvent(Doc, "learn.release");
+  ASSERT_NE(Learn, nullptr);
+  ASSERT_NE(Select, nullptr);
+  ASSERT_NE(Release, nullptr);
+  EXPECT_EQ(numField(*Release, "tid"), numField(*Learn, "tid"));
+  EXPECT_GE(numField(*Release, "ts") + 0.01,
+            numField(*Select, "ts") + numField(*Select, "dur"));
+  EXPECT_LE(numField(*Release, "ts") + numField(*Release, "dur"),
+            numField(*Learn, "ts") + numField(*Learn, "dur") + 0.01);
+}
+
 TEST(TelemetryTrace, ThreadFanOutShowsInTids) {
   // One thread: every event carries the same tid.
   service::JsonValue Serial = tracedLearnDoc(/*Threads=*/1);
