@@ -6,76 +6,32 @@
 
 #include "corpus/Dedup.h"
 
-#include "support/Hashing.h"
-
 #include <unordered_set>
 
 using namespace uspec;
 
-namespace {
-
-uint64_t hashInstrList(const InstrList &Body, uint64_t Seed) {
-  uint64_t H = Seed;
-  for (const Instr &I : Body) {
-    H = hashCombine(H, static_cast<uint64_t>(I.TheKind));
-    H = hashCombine(H, I.Name.id());
-    H = hashCombine(H, I.StrValue.id());
-    H = hashCombine(H, static_cast<uint64_t>(I.LitKind));
-    H = hashCombine(H, static_cast<uint64_t>(I.IntValue));
-    H = hashCombine(H, I.Args.size());
-    H = hashCombine(H, static_cast<uint64_t>(I.CondOp));
-    // Slots are positional (deterministic lowering), so including them keeps
-    // genuinely different data flow apart without depending on names.
-    H = hashCombine(H, I.Dst);
-    H = hashCombine(H, I.Src);
-    H = hashCombine(H, I.Base);
-    for (VarId Arg : I.Args)
-      H = hashCombine(H, Arg);
-    H = hashInstrList(I.Inner1, hashCombine(H, 0x11));
-    if (I.TheKind == Instr::Kind::If)
-      H = hashInstrList(I.Inner2, hashCombine(H, 0x22));
-  }
-  return H;
-}
-
-} // namespace
-
-uint64_t uspec::programFingerprint(const IRProgram &Program) {
-  uint64_t H = 0xF1D0ULL;
-  for (const IRClass &Class : Program.Classes) {
-    H = hashCombine(H, Class.Name.id());
-    for (Symbol Field : Class.Fields)
-      H = hashCombine(H, Field.id());
-    for (const IRMethod &Method : Class.Methods) {
-      H = hashCombine(H, Method.Name.id());
-      H = hashCombine(H, Method.NumParams);
-      H = hashInstrList(Method.Body, H);
-    }
-  }
-  return H;
-}
-
 std::vector<size_t>
-uspec::duplicateIndices(const std::vector<IRProgram> &Corpus) {
+uspec::duplicateIndices(const std::vector<uint64_t> &Fingerprints) {
   std::vector<size_t> Duplicates;
   std::unordered_set<uint64_t> Seen;
-  for (size_t I = 0; I < Corpus.size(); ++I)
-    if (!Seen.insert(programFingerprint(Corpus[I])).second)
+  Seen.reserve(Fingerprints.size());
+  for (size_t I = 0; I < Fingerprints.size(); ++I)
+    if (!Seen.insert(Fingerprints[I]).second)
       Duplicates.push_back(I);
   return Duplicates;
 }
 
+std::vector<size_t>
+uspec::duplicateIndices(const std::vector<IRProgram> &Corpus) {
+  std::vector<uint64_t> Fingerprints;
+  Fingerprints.reserve(Corpus.size());
+  for (const IRProgram &P : Corpus)
+    Fingerprints.push_back(programFingerprint(P));
+  return duplicateIndices(Fingerprints);
+}
+
 size_t uspec::dedupeCorpus(std::vector<IRProgram> &Corpus) {
-  std::unordered_set<uint64_t> Seen;
-  size_t Write = 0;
-  for (size_t Read = 0; Read < Corpus.size(); ++Read) {
-    if (!Seen.insert(programFingerprint(Corpus[Read])).second)
-      continue;
-    if (Write != Read)
-      Corpus[Write] = std::move(Corpus[Read]);
-    ++Write;
-  }
-  size_t Removed = Corpus.size() - Write;
-  Corpus.resize(Write);
-  return Removed;
+  std::vector<size_t> Duplicates = duplicateIndices(Corpus);
+  eraseIndices(Corpus, Duplicates);
+  return Duplicates.size();
 }

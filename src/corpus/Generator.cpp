@@ -602,24 +602,36 @@ std::string uspec::generateProgramSource(const LanguageProfile &Profile,
 GeneratedCorpus uspec::generateCorpus(const LanguageProfile &Profile,
                                       const GeneratorConfig &Config,
                                       StringInterner &Strings) {
+  // Draw every source first (the RNG calls do not depend on lowering), then
+  // lower the corpus in parallel; symbol ids are those of a serial loop.
   GeneratedCorpus Corpus;
+  std::vector<std::string> Names;
   Rng Rand(Config.Seed);
   for (size_t I = 0; I < Config.NumPrograms; ++I) {
-    std::string Source;
     if (!Corpus.Sources.empty() && Rand.chance(Config.DuplicateProb))
-      Source = Corpus.Sources[Rand.below(Corpus.Sources.size())];
+      Corpus.Sources.push_back(
+          Corpus.Sources[Rand.below(Corpus.Sources.size())]);
     else
-      Source = generateProgramSource(Profile, Config, Rand);
-    DiagnosticSink Diags;
-    auto Program = parseAndLower(Source, Profile.Name + "_prog" +
-                                             std::to_string(I),
-                                 Strings, Diags);
-    assert(Program && "generated program failed to parse/lower");
-    if (!Program)
-      continue;
-    Corpus.TotalLines += Program->SourceLines;
-    Corpus.Sources.push_back(std::move(Source));
-    Corpus.Programs.push_back(std::move(*Program));
+      Corpus.Sources.push_back(generateProgramSource(Profile, Config, Rand));
+    Names.push_back(Profile.Name + "_prog" + std::to_string(I));
   }
+  std::vector<LoweredSource> Lowered = lowerCorpus(
+      Names,
+      [&](size_t I, std::string &, std::string &) {
+        return std::optional<std::string_view>(Corpus.Sources[I]);
+      },
+      Strings, /*Threads=*/0);
+  size_t Kept = 0;
+  for (size_t I = 0; I < Lowered.size(); ++I) {
+    assert(Lowered[I].Program && "generated program failed to parse/lower");
+    if (!Lowered[I].Program)
+      continue;
+    Corpus.TotalLines += Lowered[I].Program->SourceLines;
+    Corpus.Programs.push_back(std::move(*Lowered[I].Program));
+    if (Kept != I)
+      Corpus.Sources[Kept] = std::move(Corpus.Sources[I]);
+    ++Kept;
+  }
+  Corpus.Sources.resize(Kept);
   return Corpus;
 }

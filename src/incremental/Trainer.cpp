@@ -20,39 +20,40 @@ using namespace uspec::incremental;
 
 namespace {
 
-/// Parses journal entries [Begin, End), keeping one corpus slot per entry:
-/// a parse failure leaves a default (empty) IRProgram in place so entry
-/// index == program index == program id stays true — exactly the in-place
-/// quarantine discipline of the pipeline itself.
+/// Parses journal entries [Begin, End) on \p Threads workers, keeping one
+/// corpus slot per entry: a parse failure leaves a default (empty) IRProgram
+/// in place so entry index == program index == program id stays true —
+/// exactly the in-place quarantine discipline of the pipeline itself. Each
+/// entry's manifest record (name, fingerprint) is appended to \p Manifest.
 std::vector<IRProgram> parsePrograms(const CorpusJournal &J, size_t Begin,
                                      size_t End, StringInterner &Strings,
+                                     unsigned Threads,
+                                     CorpusManifest &Manifest,
                                      std::vector<std::string> &Notes) {
-  std::vector<IRProgram> Programs;
-  Programs.reserve(End - Begin);
-  for (size_t I = Begin; I < End; ++I) {
-    const JournalEntry &E = J.Entries[I];
-    DiagnosticSink Diags;
-    std::optional<IRProgram> P = parseAndLower(E.Source, E.Name, Strings,
-                                               Diags);
-    if (P) {
-      Programs.push_back(std::move(*P));
+  std::vector<std::string> Names;
+  Names.reserve(End - Begin);
+  for (size_t I = Begin; I < End; ++I)
+    Names.push_back(J.Entries[I].Name);
+  std::vector<LoweredSource> Lowered = lowerCorpus(
+      Names,
+      [&](size_t I, std::string &, std::string &) {
+        return std::optional<std::string_view>(J.Entries[Begin + I].Source);
+      },
+      Strings, Threads);
+  std::vector<IRProgram> Programs(Lowered.size());
+  for (size_t I = 0; I < Lowered.size(); ++I) {
+    if (Lowered[I].Program) {
+      Programs[I] = std::move(*Lowered[I].Program);
+      Manifest.Entries.push_back({Names[I], Lowered[I].Fingerprint});
       continue;
     }
-    IRProgram Empty;
-    Empty.Name = E.Name;
-    Programs.push_back(std::move(Empty));
-    Notes.push_back("journal entry " + std::to_string(I) + " ('" + E.Name +
+    Programs[I].Name = Names[I];
+    Manifest.Entries.push_back({Names[I], programFingerprint(Programs[I])});
+    Notes.push_back("journal entry " + std::to_string(Begin + I) + " ('" +
+                    Names[I] +
                     "') no longer parses; kept as an empty corpus slot");
   }
   return Programs;
-}
-
-void appendManifestEntries(CorpusManifest &Manifest,
-                           const CorpusJournal &J, size_t Begin,
-                           const std::vector<IRProgram> &Programs) {
-  for (size_t I = 0; I < Programs.size(); ++I)
-    Manifest.Entries.push_back(
-        {J.Entries[Begin + I].Name, programFingerprint(Programs[I])});
 }
 
 void appendF64(std::string &Out, double V) {
@@ -210,7 +211,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
     if (!Demotion.empty() && !ForceReplay)
       Out.Notes.push_back("full retrain: " + Demotion);
     std::vector<IRProgram> Corpus =
-        parsePrograms(J, 0, J.Entries.size(), Strings, Out.Notes);
+        parsePrograms(J, 0, J.Entries.size(), Strings, Config.Threads,
+                      Out.Manifest, Out.Notes);
     if (Span.active()) {
       Span.arg("mode", std::string(trainModeName(Out.Mode)));
       Span.arg("programs", std::to_string(Corpus.size()));
@@ -221,7 +223,6 @@ incremental::trainFromJournal(const CorpusJournal &J,
       USpecLearner Learner(Strings, Config);
       Out.Result = Learner.learn(Corpus);
     }
-    appendManifestEntries(Out.Manifest, J, 0, Corpus);
     Out.ProgramsTrained = Corpus.size();
     return Out;
   }
@@ -240,8 +241,10 @@ incremental::trainFromJournal(const CorpusJournal &J,
   }
 
   size_t Base = static_cast<size_t>(Prev->Lineage->TrainedEntries);
+  Out.Manifest.Entries = Prev->Manifest.Entries;
   std::vector<IRProgram> Delta =
-      parsePrograms(J, Base, J.Entries.size(), Strings, Out.Notes);
+      parsePrograms(J, Base, J.Entries.size(), Strings, Config.Threads,
+                    Out.Manifest, Out.Notes);
   if (Span.active()) {
     Span.arg("mode", "warm");
     Span.arg("base", std::to_string(Base));
@@ -261,8 +264,6 @@ incremental::trainFromJournal(const CorpusJournal &J,
     USpecLearner Learner(Strings, Config);
     Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
   }
-  Out.Manifest.Entries = Prev->Manifest.Entries;
-  appendManifestEntries(Out.Manifest, J, Base, Delta);
   Out.ProgramsTrained = Delta.size();
   Out.DiffJson = specLevelDiff(*Prev, Out.Result, Strings);
   return Out;

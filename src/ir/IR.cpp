@@ -6,11 +6,68 @@
 
 #include "ir/IR.h"
 
+#include "support/Hashing.h"
+
 #include <sstream>
+#include <type_traits>
 
 using namespace uspec;
 
 namespace {
+
+/// The fingerprint walk over one instruction list. \p Remap sees every
+/// Symbol before it is hashed; when \p List is mutable, Remap may rewrite it,
+/// so remapping and fingerprinting share one pass over the IR.
+template <typename ListT, typename RemapFn>
+uint64_t fingerprintList(ListT &List, uint64_t H, const RemapFn &Remap) {
+  for (auto &I : List) {
+    Remap(I.Name);
+    Remap(I.StrValue);
+    H = hashCombine(H, static_cast<uint64_t>(I.TheKind));
+    H = hashCombine(H, I.Name.id());
+    H = hashCombine(H, I.StrValue.id());
+    H = hashCombine(H, static_cast<uint64_t>(I.LitKind));
+    H = hashCombine(H, static_cast<uint64_t>(I.IntValue));
+    H = hashCombine(H, I.Args.size());
+    H = hashCombine(H, static_cast<uint64_t>(I.CondOp));
+    // Slots are positional (deterministic lowering), so including them keeps
+    // genuinely different data flow apart without depending on names.
+    H = hashCombine(H, I.Dst);
+    H = hashCombine(H, I.Src);
+    H = hashCombine(H, I.Base);
+    for (VarId Arg : I.Args)
+      H = hashCombine(H, Arg);
+    H = fingerprintList(I.Inner1, hashCombine(H, 0x11), Remap);
+    if (I.TheKind == Instr::Kind::If)
+      H = fingerprintList(I.Inner2, hashCombine(H, 0x22), Remap);
+    else if constexpr (!std::is_const_v<ListT>)
+      fingerprintList(I.Inner2, 0, Remap); // While's condition copy: not hashed
+  }
+  return H;
+}
+
+template <typename ProgramT, typename RemapFn>
+uint64_t fingerprintProgram(ProgramT &Program, const RemapFn &Remap) {
+  uint64_t H = 0xF1D0ULL;
+  for (auto &Class : Program.Classes) {
+    Remap(Class.Name);
+    H = hashCombine(H, Class.Name.id());
+    for (auto &Field : Class.Fields) {
+      Remap(Field);
+      H = hashCombine(H, Field.id());
+    }
+    for (auto &Method : Class.Methods) {
+      Remap(Method.Name);
+      if constexpr (!std::is_const_v<ProgramT>)
+        for (auto &External : Method.Externals)
+          Remap(External.second);
+      H = hashCombine(H, Method.Name.id());
+      H = hashCombine(H, Method.NumParams);
+      H = fingerprintList(Method.Body, H, Remap);
+    }
+  }
+  return H;
+}
 
 void disassembleList(const InstrList &Body, const IRMethod &Method,
                      const StringInterner &Strings, int Indent,
@@ -110,4 +167,13 @@ std::string uspec::disassemble(const IRProgram &Program,
     Out << "}\n";
   }
   return Out.str();
+}
+
+uint64_t uspec::programFingerprint(const IRProgram &Program) {
+  return fingerprintProgram(Program, [](Symbol) {});
+}
+
+uint64_t uspec::remapSymbols(IRProgram &Program, const uint32_t *Map) {
+  return fingerprintProgram(Program,
+                            [Map](Symbol &S) { S = Symbol(Map[S.id()]); });
 }

@@ -143,6 +143,17 @@ struct IRProgram {
 /// Returns a compact disassembly of \p Program for tests and debugging.
 std::string disassemble(const IRProgram &Program, const StringInterner &Strings);
 
+/// Structural fingerprint of a program over the lowered IR: instruction
+/// kinds, interned class/field/method names, literal values, arities and
+/// variable slots (corpus/Dedup.h uses it to drop duplicate programs).
+uint64_t programFingerprint(const IRProgram &Program);
+
+/// Rewrites every Symbol of \p Program (class, field, method, external,
+/// instruction name and literal text) to Symbol(Map[old id]) and returns
+/// programFingerprint of the rewritten program, in one walk. Moves a program
+/// lowered against a scratch symbol table onto the corpus interner.
+uint64_t remapSymbols(IRProgram &Program, const uint32_t *Map);
+
 } // namespace uspec
 
 #endif // USPEC_IR_IR_H

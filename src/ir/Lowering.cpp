@@ -7,28 +7,56 @@
 #include "ir/Lowering.h"
 
 #include "lang/Parser.h"
+#include "support/ParallelFor.h"
+#include "support/Trace.h"
 
+#include <atomic>
 #include <unordered_map>
 
 using namespace uspec;
 
 namespace {
 
+/// A lowerCorpus worker's scratch symbol table. It lives for the whole
+/// corpus, so a name is stored once per worker, not once per file.
+struct ScratchSymbols {
+  StringInterner Table;
+  /// Per local id: 1 + the index of the last file that interned it.
+  std::vector<uint32_t> LastFile;
+  /// Local ids in each file's first-intern order, file after file.
+  std::vector<uint32_t> Uses;
+
+  /// Records that file \p FileIndex interned local id \p Id.
+  void note(uint32_t Id, size_t FileIndex) {
+    uint32_t Stamp = static_cast<uint32_t>(FileIndex + 1);
+    if (Id >= LastFile.size())
+      LastFile.resize(Id + 1, 0);
+    if (LastFile[Id] != Stamp) {
+      LastFile[Id] = Stamp;
+      Uses.push_back(Id);
+    }
+  }
+};
+
 /// Per-module lowering state.
 class LoweringContext {
 public:
+  /// Names go into \p Strings. With \p Scratch, \p Strings is the scratch
+  /// table and each name is also recorded for file \p FileIndex.
   LoweringContext(const Module &M, StringInterner &Strings,
-                  DiagnosticSink &Diags)
-      : M(M), Strings(Strings), Diags(Diags) {}
+                  DiagnosticSink &Diags, ScratchSymbols *Scratch = nullptr,
+                  size_t FileIndex = 0)
+      : M(M), Strings(Strings), Diags(Diags), Scratch(Scratch),
+        FileIndex(FileIndex) {}
 
   std::optional<IRProgram> run() {
     IRProgram Program;
     Program.Name = M.Name;
     for (const ClassDecl &Class : M.Classes) {
       IRClass IC;
-      IC.Name = Strings.intern(Class.Name);
+      IC.Name = intern(Class.Name);
       for (const std::string &Field : Class.Fields)
-        IC.Fields.push_back(Strings.intern(Field));
+        IC.Fields.push_back(intern(Field));
       for (const MethodDecl &Method : Class.Methods) {
         auto Lowered = lowerMethod(Method);
         if (!Lowered)
@@ -44,6 +72,13 @@ public:
   }
 
 private:
+  Symbol intern(std::string_view Name) {
+    Symbol Sym = Strings.intern(Name);
+    if (Scratch && !Sym.isEmpty())
+      Scratch->note(Sym.id(), FileIndex);
+    return Sym;
+  }
+
   //===--------------------------------------------------------------------===//
   // Method-level state
   //===--------------------------------------------------------------------===//
@@ -57,7 +92,7 @@ private:
 
   std::optional<IRMethod> lowerMethod(const MethodDecl &Decl) {
     MethodState State;
-    State.Method.Name = Strings.intern(Decl.Name);
+    State.Method.Name = intern(Decl.Name);
     State.Method.NumParams = static_cast<uint32_t>(Decl.Params.size());
     State.Scopes.emplace_back();
 
@@ -110,7 +145,7 @@ private:
     VarId Slot = static_cast<VarId>(State.Method.VarNames.size());
     State.Method.VarNames.push_back(Name);
     State.Scopes.front().emplace(Name, Slot);
-    State.Method.Externals.emplace_back(Slot, Strings.intern(Name));
+    State.Method.Externals.emplace_back(Slot, intern(Name));
     return Slot;
   }
 
@@ -136,7 +171,7 @@ private:
       I.Line = E.getLine();
       I.Dst = newTemp(State);
       I.LitKind = LiteralKind::String;
-      I.StrValue = Strings.intern(Lit.Value);
+      I.StrValue = intern(Lit.Value);
       I.SiteId = NextSiteId++;
       Out.push_back(std::move(I));
       return Out.back().Dst;
@@ -148,7 +183,7 @@ private:
       I.Line = E.getLine();
       I.Dst = newTemp(State);
       I.LitKind = LiteralKind::Int;
-      I.StrValue = Strings.intern(std::to_string(Lit.Value));
+      I.StrValue = intern(std::to_string(Lit.Value));
       I.IntValue = Lit.Value;
       I.SiteId = NextSiteId++;
       Out.push_back(std::move(I));
@@ -176,7 +211,7 @@ private:
       I.Line = E.getLine();
       I.Dst = newTemp(State);
       I.Base = Base;
-      I.Name = Strings.intern(Read.Field);
+      I.Name = intern(Read.Field);
       Out.push_back(std::move(I));
       return Out.back().Dst;
     }
@@ -193,7 +228,7 @@ private:
       I.Line = E.getLine();
       I.Dst = newTemp(State);
       I.Base = Recv;
-      I.Name = Strings.intern(Call.Method);
+      I.Name = intern(Call.Method);
       I.Args = std::move(Args);
       I.SiteId = NextSiteId++;
       I.GuardId = CurrentGuard;
@@ -214,7 +249,7 @@ private:
     I.TheKind = Instr::Kind::Alloc;
     I.Line = New.getLine();
     I.Dst = newTemp(State);
-    I.Name = Strings.intern(New.ClassName);
+    I.Name = intern(New.ClassName);
     I.SiteId = NextSiteId++;
     Out.push_back(std::move(I));
     VarId Obj = Out.back().Dst;
@@ -229,7 +264,7 @@ private:
       CallInit.Line = New.getLine();
       CallInit.Dst = InvalidVar;
       CallInit.Base = Obj;
-      CallInit.Name = Strings.intern("init");
+      CallInit.Name = intern("init");
       CallInit.Args = std::move(Args);
       CallInit.SiteId = NextSiteId++;
       CallInit.GuardId = CurrentGuard;
@@ -312,7 +347,7 @@ private:
       I.TheKind = Instr::Kind::StoreField;
       I.Line = S.getLine();
       I.Base = Base;
-      I.Name = Strings.intern(Field.Field);
+      I.Name = intern(Field.Field);
       I.Src = Value;
       Out.push_back(std::move(I));
       return;
@@ -377,30 +412,147 @@ private:
   const Module &M;
   StringInterner &Strings;
   DiagnosticSink &Diags;
+  ScratchSymbols *Scratch;
+  size_t FileIndex;
   uint32_t NextSiteId = 1;
   uint32_t NextGuardId = 1;
   uint32_t CurrentGuard = 0;
   uint32_t MaxLine = 0;
 };
 
-} // namespace
-
-std::optional<IRProgram> uspec::lowerModule(const Module &M,
-                                            StringInterner &Strings,
-                                            DiagnosticSink &Diags) {
-  LoweringContext Ctx(M, Strings, Diags);
+/// lowerModule, interning through \p Scratch when given.
+std::optional<IRProgram> lowerWith(const Module &M, StringInterner &Strings,
+                                   DiagnosticSink &Diags,
+                                   ScratchSymbols *Scratch, size_t FileIndex) {
+  LoweringContext Ctx(M, Strings, Diags, Scratch, FileIndex);
   auto Result = Ctx.run();
   if (Diags.hasErrors())
     return std::nullopt;
   return Result;
 }
 
+/// parseAndLower, interning through \p Scratch when given.
+std::optional<IRProgram> parseAndLowerWith(std::string_view Source,
+                                           std::string ModuleName,
+                                           StringInterner &Strings,
+                                           DiagnosticSink &Diags,
+                                           ScratchSymbols *Scratch,
+                                           size_t FileIndex) {
+  auto M = Parser::parse(Source, std::move(ModuleName), Diags);
+  if (!M || Diags.hasErrors())
+    return std::nullopt;
+  return lowerWith(*M, Strings, Diags, Scratch, FileIndex);
+}
+
+} // namespace
+
+std::optional<IRProgram> uspec::lowerModule(const Module &M,
+                                            StringInterner &Strings,
+                                            DiagnosticSink &Diags) {
+  return lowerWith(M, Strings, Diags, nullptr, 0);
+}
+
 std::optional<IRProgram> uspec::parseAndLower(std::string_view Source,
                                               std::string ModuleName,
                                               StringInterner &Strings,
                                               DiagnosticSink &Diags) {
-  auto M = Parser::parse(Source, std::move(ModuleName), Diags);
-  if (!M || Diags.hasErrors())
-    return std::nullopt;
-  return lowerModule(*M, Strings, Diags);
+  return parseAndLowerWith(Source, std::move(ModuleName), Strings, Diags,
+                           nullptr, 0);
+}
+
+std::vector<LoweredSource>
+uspec::lowerCorpus(const std::vector<std::string> &Names,
+                   const CorpusSourceFn &Source, StringInterner &Strings,
+                   unsigned Threads) {
+  const size_t N = Names.size();
+  std::vector<LoweredSource> Out(N);
+  const unsigned Workers = effectiveThreads(N, Threads);
+  auto SpanArgs = [N](TraceSpan &Span) {
+    if (Span.active())
+      Span.arg("programs", std::to_string(N));
+  };
+
+  // Reads, parses and lowers input I into Table. Without Scratch, Table is
+  // the corpus interner and the fingerprint is final at once.
+  auto LowerOne = [&](size_t I, std::string &Buffer, StringInterner &Table,
+                      ScratchSymbols *Scratch) {
+    LoweredSource &L = Out[I];
+    std::optional<std::string_view> Text = Source(I, Buffer, L.Error);
+    if (!Text) {
+      L.Unreadable = true;
+      return;
+    }
+    DiagnosticSink Diags;
+    L.Program = parseAndLowerWith(*Text, Names[I], Table, Diags, Scratch, I);
+    if (!L.Program)
+      L.Error = Diags.render();
+    else if (!Scratch)
+      L.Fingerprint = programFingerprint(*L.Program);
+  };
+
+  if (Workers == 1) {
+    TraceSpan Span("corpus.lower");
+    SpanArgs(Span);
+    std::string Buffer;
+    for (size_t I = 0; I < N; ++I)
+      LowerOne(I, Buffer, Strings, nullptr);
+    return Out;
+  }
+
+  // Step 1: parallel read, parse and lower into per-worker scratch tables.
+  // Workers pull files from a shared counter; file I's names are the slice
+  // [Begin, End) of its worker's Uses.
+  struct FileUses {
+    uint32_t Worker = 0;
+    size_t Begin = 0, End = 0;
+  };
+  std::vector<FileUses> Uses(N);
+  std::vector<ScratchSymbols> Scratch(Workers);
+  {
+    TraceSpan Span("corpus.lower");
+    SpanArgs(Span);
+    std::atomic<size_t> Next{0};
+    parallelFor(Workers, Workers, [&](size_t W) {
+      ScratchSymbols &S = Scratch[W];
+      std::string Buffer;
+      for (size_t I = Next.fetch_add(1); I < N; I = Next.fetch_add(1)) {
+        size_t Begin = S.Uses.size();
+        LowerOne(I, Buffer, S.Table, &S);
+        Uses[I] = {static_cast<uint32_t>(W), Begin, S.Uses.size()};
+      }
+    });
+  }
+
+  // Step 2: serial merge in file order. Each file's new names reach the
+  // corpus interner in the order the serial loop would have interned them,
+  // so they get the same ids. Map[W][local id] = corpus id (0 = not yet).
+  std::vector<std::vector<uint32_t>> Map(Workers);
+  {
+    TraceSpan Span("corpus.merge");
+    SpanArgs(Span);
+    for (unsigned W = 0; W < Workers; ++W)
+      Map[W].assign(Scratch[W].Table.size(), 0);
+    for (size_t I = 0; I < N; ++I) {
+      const ScratchSymbols &S = Scratch[Uses[I].Worker];
+      std::vector<uint32_t> &M = Map[Uses[I].Worker];
+      for (size_t K = Uses[I].Begin; K < Uses[I].End; ++K) {
+        uint32_t Local = S.Uses[K];
+        if (!M[Local])
+          M[Local] = Strings.intern(S.Table.str(Symbol(Local))).id();
+      }
+    }
+    std::vector<ScratchSymbols>().swap(Scratch);
+  }
+
+  // Step 3: parallel remap onto the corpus ids, fingerprinting in the walk.
+  {
+    TraceSpan Span("corpus.remap");
+    SpanArgs(Span);
+    parallelFor(N, Workers, [&](size_t I) {
+      if (Out[I].Program)
+        Out[I].Fingerprint =
+            remapSymbols(*Out[I].Program, Map[Uses[I].Worker].data());
+    });
+  }
+  return Out;
 }

@@ -51,7 +51,8 @@ private:
 /// external synchronization, but concurrent const access — str(), size(),
 /// intern() of an already-present string — is safe while no writer runs.
 /// The parallel pipeline phases rely on this read-only contract: all names
-/// are interned during parsing/lowering, before learn() fans out.
+/// reach the corpus interner in the front end's serial merge (lowerCorpus),
+/// before learn() fans out.
 class StringInterner {
 public:
   StringInterner() { Storage.emplace_back(); /* Symbol 0 = "" */ }

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -40,6 +42,27 @@ RunResult runCli(const std::string &ArgString) {
   int Status = pclose(Pipe);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+/// Reads a whole file ("" when absent).
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+/// A fresh directory holding an 8-program generated corpus; returns its
+/// path (with a trailing slash) and the file arguments in \p Files.
+std::string makeCorpusDir(const std::string &Name, std::string &Files) {
+  std::string Dir = testing::TempDir() + Name + "/";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  runCli("gen --profile java -n 8 --seed 11 -o " + Dir + "corpus");
+  Files.clear();
+  for (int I = 0; I < 8; ++I)
+    Files += " " + Dir + "corpus/prog" + std::to_string(I) + ".mini";
+  return Dir;
 }
 
 /// Writes a small valid MiniLang program and returns its path.
@@ -162,4 +185,70 @@ TEST(Cli, AnalyzeJsonReportsParseErrorsAsJson) {
   EXPECT_NE(R.Output.find("\"error\":{\"kind\":\"parse_error\""),
             std::string::npos)
       << R.Output;
+}
+
+TEST(Cli, DirectoryInputIsQuarantinedUnreadable) {
+  std::string Files;
+  std::string Dir = makeCorpusDir("cli_test_dir_input", Files);
+  std::filesystem::create_directories(Dir + "subdir");
+  RunResult R = runCli("train" + Files + " " + Dir + "subdir " + Dir +
+                       "missing.mini -o " + Dir + "out.uspb --stats");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("error: cannot read " + Dir +
+                          "subdir: Is a directory\n"
+                          "warning: quarantined " +
+                          Dir + "subdir (unreadable)\n"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("error: cannot read " + Dir +
+                          "missing.mini: No such file or directory\n"
+                          "warning: quarantined " +
+                          Dir + "missing.mini (unreadable)\n"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("\"quarantined_count\": 2"), std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("(8 programs,"), std::string::npos) << R.Output;
+}
+
+TEST(Cli, FrontEndDiagnosticsAreThreadCountInvariant) {
+  // Two bad files between good ones: a parse error and a lowering error.
+  // Files are lowered on the worker threads, but diagnostics print in file
+  // order, so the whole output and the artifact match the 1-thread run.
+  std::string Files;
+  std::string Dir = makeCorpusDir("cli_test_frontend_threads", Files);
+  std::ofstream(Dir + "bad_parse.mini") << "this is not minilang {\n";
+  std::ofstream(Dir + "bad_lower.mini")
+      << "class A { def f() { var u = new Map(); var u = 1; } }\n";
+  std::string Inputs = " " + Dir + "corpus/prog0.mini " + Dir +
+                       "bad_parse.mini" + Files + " " + Dir +
+                       "bad_lower.mini";
+  RunResult One = runCli("train" + Inputs + " -o " + Dir +
+                         "out.uspb --threads 1");
+  std::string OneBytes = slurp(Dir + "out.uspb");
+  RunResult Four = runCli("train" + Inputs + " -o " + Dir +
+                          "out.uspb --threads 4");
+  EXPECT_EQ(One.ExitCode, 0) << One.Output;
+  EXPECT_EQ(Four.ExitCode, 0) << Four.Output;
+  EXPECT_EQ(Four.Output, One.Output);
+  EXPECT_FALSE(OneBytes.empty());
+  EXPECT_EQ(slurp(Dir + "out.uspb"), OneBytes);
+  size_t Parse = One.Output.find("quarantined " + Dir + "bad_parse.mini");
+  size_t Lower = One.Output.find("quarantined " + Dir + "bad_lower.mini");
+  ASSERT_NE(Parse, std::string::npos) << One.Output;
+  ASSERT_NE(Lower, std::string::npos) << One.Output;
+  EXPECT_LT(Parse, Lower);
+
+  // --strict stops at the first bad file in file order at any thread count.
+  RunResult StrictOne = runCli("train" + Inputs + " -o " + Dir +
+                               "strict.uspb --strict --threads 1");
+  RunResult StrictFour = runCli("train" + Inputs + " -o " + Dir +
+                                "strict.uspb --strict --threads 4");
+  EXPECT_EQ(StrictOne.ExitCode, 1);
+  EXPECT_EQ(StrictFour.ExitCode, 1);
+  EXPECT_EQ(StrictFour.Output, StrictOne.Output);
+  EXPECT_NE(StrictOne.Output.find(Dir + "bad_parse.mini:"), std::string::npos)
+      << StrictOne.Output;
+  EXPECT_EQ(StrictOne.Output.find("bad_lower"), std::string::npos)
+      << StrictOne.Output;
 }

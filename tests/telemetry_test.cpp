@@ -6,8 +6,9 @@
 // exactness against uspec::percentile, the registry and its Prometheus
 // renderer), support/Trace.h (trace JSON well-formedness, span nesting at 1
 // and 8 threads, the disarmed zero-allocation fast path, artifact
-// bit-identity with tracing on/off), and the service surface (stats JSON on
-// large counters, the `metrics` verb, trace_id echo, the slow-request log).
+// bit-identity with tracing on/off, the front-end and release spans of a
+// traced `uspec train`), and the service surface (stats JSON on large
+// counters, the `metrics` verb, trace_id echo, the slow-request log).
 // All suite names start with "Telemetry" so the TSan CI job picks them up.
 //
 //===----------------------------------------------------------------------===//
@@ -26,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <new>
 #include <set>
@@ -455,6 +457,71 @@ TEST(TelemetryTrace, LearnReleaseSpanCoversTheTeardown) {
             numField(*Select, "ts") + numField(*Select, "dur"));
   EXPECT_LE(numField(*Release, "ts") + numField(*Release, "dur"),
             numField(*Learn, "ts") + numField(*Learn, "dur") + 0.01);
+}
+
+namespace {
+
+/// Runs `uspec train` on a generated 12-program corpus with --trace and
+/// returns the parsed trace document.
+service::JsonValue tracedCliTrainDoc(const std::string &Name,
+                                     unsigned Threads) {
+  std::string Dir = testing::TempDir() + Name + "/";
+  std::string Cli = USPEC_CLI_PATH;
+  std::string Setup = "rm -rf " + Dir + " && " + Cli +
+                      " gen --profile java -n 12 --seed 5 -o " + Dir +
+                      "corpus 2>/dev/null";
+  EXPECT_EQ(std::system(Setup.c_str()), 0);
+  std::string Train = Cli + " train " + Dir + "corpus/*.mini -o " + Dir +
+                      "out.uspb --threads " + std::to_string(Threads) +
+                      " --trace " + Dir + "t.json 2>/dev/null";
+  EXPECT_EQ(std::system(Train.c_str()), 0);
+  std::ifstream In(Dir + "t.json");
+  std::stringstream Json;
+  Json << In.rdbuf();
+  service::JsonValue Doc;
+  std::string Err;
+  EXPECT_TRUE(service::parseJson(Json.str(), Doc, &Err)) << Err;
+  return Doc;
+}
+
+std::string stringArg(const service::JsonValue &E, const char *Key) {
+  const service::JsonValue *Args = E.find("args");
+  const service::JsonValue *V = Args ? Args->find(Key) : nullptr;
+  return V ? V->StringValue : "";
+}
+
+} // namespace
+
+TEST(TelemetryTrace, CliTrainSpansFrontEndAndRelease) {
+  // The parallel front end is traced as lower + merge + remap before
+  // learn(); the corpus is freed in cli.release after the artifact is
+  // written. Each span carries the program count.
+  service::JsonValue Doc = tracedCliTrainDoc("telemetry_cli_trace", 4);
+  const service::JsonValue *Learn = findEvent(Doc, "learn");
+  const service::JsonValue *Save = findEvent(Doc, "artifact.save");
+  ASSERT_NE(Learn, nullptr);
+  ASSERT_NE(Save, nullptr);
+  double FrontEndEnd = 0;
+  for (const char *Name : {"corpus.lower", "corpus.merge", "corpus.remap"}) {
+    const service::JsonValue *E = findEvent(Doc, Name);
+    ASSERT_NE(E, nullptr) << Name;
+    EXPECT_EQ(stringArg(*E, "programs"), "12") << Name;
+    EXPECT_GE(numField(*E, "ts") + 0.01, FrontEndEnd) << Name;
+    FrontEndEnd = numField(*E, "ts") + numField(*E, "dur");
+  }
+  EXPECT_LE(FrontEndEnd, numField(*Learn, "ts") + 0.01);
+  const service::JsonValue *Release = findEvent(Doc, "cli.release");
+  ASSERT_NE(Release, nullptr);
+  EXPECT_EQ(stringArg(*Release, "programs"), "12");
+  EXPECT_GE(numField(*Release, "ts") + 0.01,
+            numField(*Save, "ts") + numField(*Save, "dur"));
+
+  // One thread lowers straight into the corpus interner: no merge, no remap.
+  service::JsonValue Serial = tracedCliTrainDoc("telemetry_cli_trace_1t", 1);
+  EXPECT_NE(findEvent(Serial, "corpus.lower"), nullptr);
+  EXPECT_EQ(findEvent(Serial, "corpus.merge"), nullptr);
+  EXPECT_EQ(findEvent(Serial, "corpus.remap"), nullptr);
+  EXPECT_NE(findEvent(Serial, "cli.release"), nullptr);
 }
 
 TEST(TelemetryTrace, ThreadFanOutShowsInTids) {

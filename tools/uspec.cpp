@@ -152,6 +152,7 @@
 #include "service/Server.h"
 #include "specs/SpecIO.h"
 #include "support/EventLog.h"
+#include "support/ParallelFor.h"
 #include "support/Trace.h"
 
 #include <cerrno>
@@ -167,9 +168,10 @@
 #include <iostream>
 #include <iterator>
 #include <map>
-#include <sstream>
 #include <thread>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace uspec;
@@ -235,24 +237,60 @@ int missingValue(const char *Cmd, const char *Opt) {
   return 2;
 }
 
+/// Reads the whole file at \p Path into \p Out (binary-safe), reusing its
+/// capacity: one open, one fstat, then sized reads up to end of file. On
+/// failure sets \p Err to "cannot read PATH: <OS error>" and returns false;
+/// a directory fails with EISDIR.
+bool readFileInto(const std::string &Path, std::string &Out,
+                  std::string &Err) {
+  auto Fail = [&](int Errno) {
+    Err = "cannot read " + Path + ": " + std::strerror(Errno);
+    Out.clear();
+    return false;
+  };
+  int Fd;
+  do
+    Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  while (Fd < 0 && errno == EINTR);
+  if (Fd < 0)
+    return Fail(errno);
+  struct stat St;
+  size_t Size = ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode)
+                    ? static_cast<size_t>(St.st_size)
+                    : 0;
+  // One byte of slack, so a file that did not grow is read to its end
+  // (read() == 0) without resizing.
+  Out.resize(Size + 1);
+  size_t Len = 0;
+  for (;;) {
+    if (Len == Out.size())
+      Out.resize(std::max<size_t>(Out.size() * 2, 4096));
+    ssize_t Got = ::read(Fd, Out.data() + Len, Out.size() - Len);
+    if (Got < 0) {
+      if (errno == EINTR)
+        continue;
+      int Errno = errno;
+      ::close(Fd);
+      return Fail(Errno);
+    }
+    if (Got == 0)
+      break;
+    Len += static_cast<size_t>(Got);
+  }
+  ::close(Fd);
+  Out.resize(Len);
+  return true;
+}
+
 /// Reads a whole file (binary-safe); on failure prints the path and the OS
 /// error and returns nullopt.
 std::optional<std::string> readFile(const std::string &Path) {
-  errno = 0;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read %s: %s\n", Path.c_str(),
-                 errno ? std::strerror(errno) : "unknown error");
+  std::string Out, Err;
+  if (!readFileInto(Path, Out, Err)) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
     return std::nullopt;
   }
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  if (In.bad()) {
-    std::fprintf(stderr, "error: cannot read %s: %s\n", Path.c_str(),
-                 errno ? std::strerror(errno) : "I/O error");
-    return std::nullopt;
-  }
-  return Out.str();
+  return Out;
 }
 
 /// Writes a whole file (binary-safe); on failure prints the path and the OS
@@ -358,20 +396,37 @@ int cmdGen(Args &A) {
   return 0;
 }
 
-/// Parses + lowers \p Files; also records one manifest entry per program.
-/// By default a file that cannot be read or parsed is *quarantined*: it is
-/// reported on stderr, recorded in \p Quarantined (by its index in \p Files)
-/// and never enters the corpus or manifest, so one rotten file cannot sink
-/// a whole training run. \p Strict restores the old abort-on-first-error
-/// behavior (`learn/train --strict`).
+/// Parses + lowers \p Files on \p Threads workers (ir/Lowering.h
+/// lowerCorpus, each file read inside its worker's task); also records one
+/// manifest entry per program. By default a file that cannot be read or
+/// parsed is *quarantined*: it is reported on stderr, recorded in
+/// \p Quarantined (by its index in \p Files) and never enters the corpus or
+/// manifest, so one rotten file cannot sink a whole training run. \p Strict
+/// restores the old abort-on-first-error behavior (`learn/train --strict`).
+/// Diagnostics are printed in file order, whatever the thread count.
 bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
                 std::vector<IRProgram> &Corpus, CorpusManifest &Manifest,
                 bool Strict, std::vector<QuarantineRecord> &Quarantined,
+                unsigned Threads,
                 std::vector<distrib::ProgramSource> *Sources = nullptr) {
+  // Distributed runs ship the text to workers, so each file keeps its own.
+  std::vector<std::string> Kept(Sources ? Files.size() : 0);
+  std::vector<LoweredSource> Lowered = lowerCorpus(
+      Files,
+      [&](size_t I, std::string &Buffer,
+          std::string &Err) -> std::optional<std::string_view> {
+        std::string &Text = Sources ? Kept[I] : Buffer;
+        if (!readFileInto(Files[I], Text, Err))
+          return std::nullopt;
+        return Text;
+      },
+      Strings, Threads);
+  Corpus.reserve(Files.size());
   for (size_t I = 0; I < Files.size(); ++I) {
     const std::string &Path = Files[I];
-    auto Source = readFile(Path);
-    if (!Source) {
+    LoweredSource &L = Lowered[I];
+    if (L.Unreadable) {
+      std::fprintf(stderr, "error: %s\n", L.Error.c_str());
       if (Strict)
         return false;
       std::fprintf(stderr, "warning: quarantined %s (unreadable)\n",
@@ -379,10 +434,8 @@ bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
       Quarantined.push_back({I, Path, "read"});
       continue;
     }
-    DiagnosticSink Diags;
-    auto P = parseAndLower(*Source, Path, Strings, Diags);
-    if (!P) {
-      std::fprintf(stderr, "%s:\n%s", Path.c_str(), Diags.render().c_str());
+    if (!L.Program) {
+      std::fprintf(stderr, "%s:\n%s", Path.c_str(), L.Error.c_str());
       if (Strict)
         return false;
       std::fprintf(stderr, "warning: quarantined %s (parse error)\n",
@@ -390,16 +443,27 @@ bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
       Quarantined.push_back({I, Path, "parse"});
       continue;
     }
-    Manifest.Entries.push_back({Path, programFingerprint(*P)});
-    Corpus.push_back(std::move(*P));
+    Manifest.Entries.push_back({Path, L.Fingerprint});
+    Corpus.push_back(std::move(*L.Program));
     if (Sources)
-      Sources->push_back({Path, std::move(*Source)});
+      Sources->push_back({Path, std::move(Kept[I])});
   }
   if (Corpus.empty()) {
     std::fprintf(stderr, "error: no loadable programs in the corpus\n");
     return false;
   }
   return true;
+}
+
+/// Frees the corpus slot by slot on \p Threads workers, like learn()'s
+/// `learn.release`, instead of in one thread's destructors at exit.
+void releaseCorpus(std::vector<IRProgram> &Corpus, unsigned Threads) {
+  TraceSpan Span("cli.release");
+  if (Span.active())
+    Span.arg("programs", std::to_string(Corpus.size()));
+  parallelFor(Corpus.size(), Threads,
+              [&](size_t I) { Corpus[I] = IRProgram(); });
+  std::vector<IRProgram>().swap(Corpus);
 }
 
 /// Prints the per-run summary + candidate table to stderr (shared by
@@ -699,20 +763,22 @@ int cmdLearnOrTrain(Args &A, bool Train) {
   std::vector<QuarantineRecord> ParseQuarantine;
   std::vector<distrib::ProgramSource> RawSources;
   if (!loadCorpus(Files, Strings, Corpus, Manifest, Strict, ParseQuarantine,
+                  static_cast<unsigned>(Threads),
                   Distributed ? &RawSources : nullptr))
     return 1;
 
   if (Dedup) {
-    std::vector<size_t> Dups = duplicateIndices(Corpus);
-    for (size_t I = Dups.size(); I-- > 0;) {
-      Manifest.Entries.erase(Manifest.Entries.begin() +
-                             static_cast<long>(Dups[I]));
-      if (Distributed)
-        RawSources.erase(RawSources.begin() + static_cast<long>(Dups[I]));
-    }
-    size_t Removed = dedupeCorpus(Corpus);
+    // The manifest already holds every program's fingerprint.
+    std::vector<uint64_t> Fingerprints;
+    Fingerprints.reserve(Manifest.Entries.size());
+    for (const CorpusManifest::Entry &E : Manifest.Entries)
+      Fingerprints.push_back(E.Fingerprint);
+    std::vector<size_t> Dups = duplicateIndices(Fingerprints);
+    eraseIndices(Corpus, Dups);
+    eraseIndices(Manifest.Entries, Dups);
+    eraseIndices(RawSources, Dups);
     std::fprintf(stderr, "dedup: removed %zu duplicate program(s)\n",
-                 Removed);
+                 Dups.size());
   }
 
   if (Train && Resume) {
@@ -785,28 +851,33 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     std::fprintf(stderr, "%s\n", Result.Stats.json().c_str());
   }
 
-  if (Train) {
-    std::string WriteErr;
-    if (!writeFileAtomic(OutPath, Learner.saveArtifacts(Result, &Manifest),
-                         &WriteErr)) {
-      std::fprintf(stderr, "error: %s\n", WriteErr.c_str());
-      return 1;
+  auto WriteOutput = [&] {
+    if (Train) {
+      std::string WriteErr;
+      if (!writeFileAtomic(OutPath, Learner.saveArtifacts(Result, &Manifest),
+                           &WriteErr)) {
+        std::fprintf(stderr, "error: %s\n", WriteErr.c_str());
+        return 1;
+      }
+      std::fprintf(stderr,
+                   "wrote artifact %s (%zu programs, %zu candidates)\n",
+                   OutPath.c_str(), Manifest.Entries.size(),
+                   Result.Candidates.size());
+      return 0;
     }
-    std::fprintf(stderr, "wrote artifact %s (%zu programs, %zu candidates)\n",
-                 OutPath.c_str(), Manifest.Entries.size(),
-                 Result.Candidates.size());
+    std::string Text = serializeSpecs(Result.Selected, Strings);
+    if (OutPath.empty()) {
+      std::fputs(Text.c_str(), stdout);
+      return 0;
+    }
+    if (!writeFile(OutPath, Text))
+      return 1;
+    std::fprintf(stderr, "wrote %s\n", OutPath.c_str());
     return 0;
-  }
-
-  std::string Text = serializeSpecs(Result.Selected, Strings);
-  if (OutPath.empty()) {
-    std::fputs(Text.c_str(), stdout);
-    return 0;
-  }
-  if (!writeFile(OutPath, Text))
-    return 1;
-  std::fprintf(stderr, "wrote %s\n", OutPath.c_str());
-  return 0;
+  };
+  int Rc = WriteOutput();
+  releaseCorpus(Corpus, Cfg.Threads);
+  return Rc;
 }
 
 /// `uspec ingest FILES... -j corpus.uspj`: parse-validate every file, then
