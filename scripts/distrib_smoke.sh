@@ -1,24 +1,21 @@
 #!/usr/bin/env bash
-#===- distrib_smoke.sh - Distributed train + routed serving smoke --------===#
+#===- distrib_smoke.sh - Routed serving smoke ----------------------------===#
 #
 # Part of the USpec reproduction (PLDI 2019). MIT license.
 #
-# End-to-end smoke of the DESIGN.md §14 subsystem through the real binary:
+# End-to-end smoke of the DESIGN.md §14-15 routed serving tier through the
+# real binary (a small corpus and one trained artifact feed every leg):
 #
-#   1. `train --distributed 4` (self-spawned workers over Unix sockets) is
-#      byte-identical to single-process `train` on the same corpus+seed.
-#   2. A worker killed mid-analyze (USPEC_FAULT=distrib.worker.analyze:0:kill)
-#      still converges to the identical bytes via shard reassignment.
-#   3. `uspec route` in front of two serve replicas: routed `query analyze`
+#   1. `uspec route` in front of two serve replicas: routed `query analyze`
 #      responses are byte-identical to one-shot `analyze --json`; stats fan
 #      out; a broadcast `reload` swaps both replicas live.
 #      2000 routed `uspec query` requests leave each replica's thread
 #      count under a small fixed bound (pooled router->replica connections,
 #      reaped connection handlers).
-#   4. kill -9 of a replica: the routed query answers `replica_down` once,
+#   2. kill -9 of a replica: the routed query answers `replica_down` once,
 #      and `query --retries` deterministically fails over to the survivor.
-#   5. A routed `shutdown` broadcast drains replicas and router cleanly.
-#   6. `route --supervise --respawn-cmd`: the supervisor cold-starts the
+#   3. A routed `shutdown` broadcast drains replicas and router cleanly.
+#   4. `route --supervise --respawn-cmd`: the supervisor cold-starts the
 #      replica, survives a kill -9 (respawn + warm rejoin, byte-identical
 #      answers before/after), and the final shutdown drains the respawned
 #      replica it owns.
@@ -42,34 +39,9 @@ trap cleanup EXIT
 
 fail=0
 
-echo "== corpus + single-process baseline"
+echo "== corpus + trained artifact"
 "$USPEC" gen --profile java -n 20 -o "$WORK/corpus" --seed 23
 "$USPEC" train "$WORK/corpus"/*.mini -o "$WORK/single.uspb" --seed 23
-
-echo "== train --distributed 4: byte-identity"
-"$USPEC" train "$WORK/corpus"/*.mini -o "$WORK/dist.uspb" --seed 23 \
-  --distributed 4 > "$WORK/dist.log" 2>&1
-grep -q "distributed:" "$WORK/dist.log" || {
-  echo "FAIL: no distributed summary line" >&2
-  fail=1
-}
-if ! cmp -s "$WORK/single.uspb" "$WORK/dist.uspb"; then
-  echo "FAIL: 4-worker artifact differs from single-process bytes" >&2
-  fail=1
-else
-  echo "   4 workers byte-identical"
-fi
-
-echo "== worker killed mid-analyze: reassignment converges"
-USPEC_FAULT=distrib.worker.analyze:0:kill "$USPEC" train \
-  "$WORK/corpus"/*.mini -o "$WORK/killed.uspb" --seed 23 --distributed 2 \
-  > "$WORK/killed.log" 2>&1
-if ! cmp -s "$WORK/single.uspb" "$WORK/killed.uspb"; then
-  echo "FAIL: artifact after worker kill differs from baseline" >&2
-  fail=1
-else
-  echo "   kill -> reassignment byte-identical"
-fi
 
 echo "== routed serving: 2 replicas behind uspec route"
 for i in 0 1; do

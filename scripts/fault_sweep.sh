@@ -220,34 +220,6 @@ if [ "$rc" -ne 0 ]; then
 fi
 [ "$fail" -eq 0 ] && echo "   reload fault -> reload_failed -> recovery OK"
 
-echo "== distrib.* faults: worker death/spawn failure keep byte-identity"
-# base.uspb is the uninterrupted single-process artifact from the top of
-# the sweep; every distributed run below must converge to its exact bytes.
-for spec in distrib.worker.analyze:0:kill distrib.worker.extract:0:kill \
-            distrib.spawn:0:throw; do
-  out="$WORK/distrib_fault.uspb"
-  rm -f "$out"
-  rc=0
-  USPEC_FAULT="$spec" "$USPEC" train "$WORK/corpus"/*.mini -o "$out" \
-    --seed 19 --distributed 2 > "$WORK/distrib_fault.log" 2>&1 || rc=$?
-  if [ "$rc" -ne 0 ]; then
-    echo "FAIL: $spec: distributed train exited $rc" >&2
-    tail -5 "$WORK/distrib_fault.log" >&2
-    fail=1
-  elif ! cmp -s "$out" "$WORK/base.uspb"; then
-    echo "FAIL: $spec: artifact differs from single-process bytes" >&2
-    fail=1
-  else
-    echo "   $spec: converged byte-identical"
-  fi
-done
-# The injected worker deaths must be visible in the run summary, not
-# silently absorbed.
-if ! grep -q "reassigned\|demoted\|in-process" "$WORK/distrib_fault.log"; then
-  echo "FAIL: distrib fault left no recovery note in the summary" >&2
-  fail=1
-fi
-
 echo "== router.respawn fault: supervisor backoff survives a lost attempt"
 # No replica process exists at $WORK/f0.sock; the supervisor must create
 # it. router.respawn:1:soft swallows the first attempt, so recovery proves

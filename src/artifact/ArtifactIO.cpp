@@ -319,13 +319,6 @@ std::string uspec::encodeManifest(const CorpusManifest &Manifest) {
     W.writeU64(E.Fingerprint);
   }
   W.writeVarint(Manifest.Generation);
-  // Distributed-training provenance trails the generation and is written
-  // only when present, keeping plain artifacts byte-identical to the
-  // pre-field encoding (a pinned golden checksum).
-  if (Manifest.DistWorkers != 0) {
-    W.writeVarint(Manifest.DistWorkers);
-    W.writeU64(Manifest.DistShardChecksum);
-  }
   return W.take();
 }
 
@@ -346,9 +339,11 @@ std::optional<CorpusManifest> uspec::decodeManifest(std::string_view Bytes,
   // absent bytes (an older artifact) decode as generation 0.
   if (R.ok() && R.remaining() > 0)
     Manifest.Generation = R.readVarint();
+  // Older builds could append a (varint, u64) pair after it (multi-process
+  // training provenance); it is read and discarded so those artifacts load.
   if (R.ok() && R.remaining() > 0) {
-    Manifest.DistWorkers = R.readVarint();
-    Manifest.DistShardChecksum = R.readU64();
+    R.readVarint();
+    R.readU64();
   }
   return finish(R, std::move(Manifest), Err);
 }

@@ -152,16 +152,6 @@ struct CorpusManifest {
   /// varint; artifacts written before the field existed decode with 0.
   uint64_t Generation = 0;
 
-  /// Distributed-training provenance (`train --distributed --provenance`):
-  /// the worker count the run asked for and the shard-plan fingerprint.
-  /// Operational metadata only — byte-identity of distributed training means
-  /// the rest of the artifact cannot record it, so it is opt-in and excluded
-  /// from sameCorpus/equality. Encoded as two trailing fields only when
-  /// DistWorkers != 0: plain artifacts stay byte-identical to pre-field
-  /// encodings, and both older and newer readers agree on them.
-  uint64_t DistWorkers = 0;
-  uint64_t DistShardChecksum = 0;
-
   /// True when the fingerprint sequences match exactly (names are display
   /// metadata and do not participate).
   bool sameCorpus(const CorpusManifest &Other) const;

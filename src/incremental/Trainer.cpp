@@ -166,8 +166,7 @@ incremental::trainFromJournal(const CorpusJournal &J,
                               const LearnerConfig &Config,
                               StringInterner &Strings,
                               std::string_view PrevArtifactBytes,
-                              bool ForceReplay, std::string *Err,
-                              const PipelineEngine *Engine) {
+                              bool ForceReplay, std::string *Err) {
   if (J.Entries.empty()) {
     if (Err)
       *Err = "journal is empty; ingest programs first";
@@ -217,12 +216,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
       Span.arg("mode", std::string(trainModeName(Out.Mode)));
       Span.arg("programs", std::to_string(Corpus.size()));
     }
-    if (Engine && Engine->Full) {
-      Out.Result = Engine->Full(Corpus);
-    } else {
-      USpecLearner Learner(Strings, Config);
-      Out.Result = Learner.learn(Corpus);
-    }
+    USpecLearner Learner(Strings, Config);
+    Out.Result = Learner.learn(Corpus);
     Out.ProgramsTrained = Corpus.size();
     return Out;
   }
@@ -258,12 +253,8 @@ incremental::trainFromJournal(const CorpusJournal &J,
   Seed.BaseTrainingSamples = Prev->Result.NumTrainingSamples;
 
   Out.Mode = TrainMode::Warm;
-  if (Engine && Engine->Increment) {
-    Out.Result = Engine->Increment(Delta, std::move(Seed));
-  } else {
-    USpecLearner Learner(Strings, Config);
-    Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
-  }
+  USpecLearner Learner(Strings, Config);
+  Out.Result = Learner.learnIncrement(Delta, std::move(Seed));
   Out.ProgramsTrained = Delta.size();
   Out.DiffJson = specLevelDiff(*Prev, Out.Result, Strings);
   return Out;

@@ -33,7 +33,6 @@
 #include "core/Learner.h"
 #include "incremental/Journal.h"
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -71,33 +70,16 @@ struct IncrementalOutcome {
   std::vector<std::string> Notes;
 };
 
-/// Replaces how the pipeline is *executed* without touching how the journal
-/// is *interpreted* (mode decision, lineage, manifests, diffs stay here).
-/// `train --distributed` supplies closures that fan the run out to worker
-/// processes; both must return exactly what USpecLearner::learn /
-/// learnIncrement would for the same corpus slice — the journal layer
-/// treats them as drop-in engines. The parsed programs are handed over
-/// already lowered into the run's interner (a distributed engine re-derives
-/// its shard payloads from the journal and uses the parse only for its
-/// side effect on the interner).
-struct PipelineEngine {
-  std::function<LearnResult(const std::vector<IRProgram> &)> Full;
-  std::function<LearnResult(const std::vector<IRProgram> &, WarmStart)>
-      Increment;
-};
-
 /// Runs journal-driven training. \p PrevArtifactBytes is the raw USPB
 /// artifact previously written to the output path ("" when none exists);
 /// it is inspected with a throwaway interner, and only a warm run decodes
-/// it into \p Strings. \p ForceReplay pins Replay mode. A non-null
-/// \p Engine with the relevant closure set runs that closure instead of the
-/// in-process learner. Fails (nullopt + \p Err) only on an empty journal;
-/// every prior-artifact problem demotes to Full instead.
+/// it into \p Strings. \p ForceReplay pins Replay mode. Fails (nullopt +
+/// \p Err) only on an empty journal; every prior-artifact problem demotes
+/// to Full instead.
 std::optional<IncrementalOutcome>
 trainFromJournal(const CorpusJournal &J, const LearnerConfig &Config,
                  StringInterner &Strings, std::string_view PrevArtifactBytes,
-                 bool ForceReplay, std::string *Err = nullptr,
-                 const PipelineEngine *Engine = nullptr);
+                 bool ForceReplay, std::string *Err = nullptr);
 
 } // namespace incremental
 } // namespace uspec

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A process-wide structured event log for fleet lifecycle transitions
-/// (probe failures, respawns, rejoins, hedges, reloads, shard reassignment).
+/// (probe failures, respawns, rejoins, hedges, reloads).
 /// Events are JSONL: one self-contained JSON object per line, so the log is
 /// greppable, tailable, and mergeable across processes without a reader that
 /// holds state.

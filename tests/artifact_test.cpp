@@ -328,6 +328,19 @@ TEST(ArtifactIO, ManifestRoundTripAndMatching) {
   EXPECT_EQ(*Loaded, M);
   EXPECT_TRUE(Loaded->sameCorpus(M));
 
+  // Older builds could append a (varint, u64) provenance pair after the
+  // generation; those manifests still decode, and the pair is discarded.
+  M.Generation = 3;
+  BinaryWriter Trailer;
+  Trailer.writeVarint(4);
+  Trailer.writeU64(0x0123456789abcdefULL);
+  std::string Old = encodeManifest(M) + Trailer.take();
+  auto FromOld = decodeManifest(Old, &Err);
+  ASSERT_TRUE(FromOld.has_value()) << Err.str();
+  EXPECT_EQ(*FromOld, M);
+  EXPECT_EQ(FromOld->Generation, 3u);
+  EXPECT_EQ(encodeManifest(*FromOld), encodeManifest(M));
+
   CorpusManifest Renamed = M;
   Renamed.Entries[0].Name = "c.mini"; // names are display-only
   EXPECT_TRUE(Renamed.sameCorpus(M));

@@ -82,6 +82,12 @@ TEST(Cli, UnknownSubcommandNamesTokenAndExits2) {
   EXPECT_NE(R.Output.find("unknown subcommand 'frobnicate'"),
             std::string::npos)
       << R.Output;
+
+  // `worker` (the removed training worker) is not a subcommand.
+  R = runCli("worker --connect unix:/nonexistent.sock");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Output.find("unknown subcommand 'worker'"), std::string::npos)
+      << R.Output;
 }
 
 TEST(Cli, UnknownFlagsNameTokenAndExit2) {
@@ -92,6 +98,8 @@ TEST(Cli, UnknownFlagsNameTokenAndExit2) {
       {"gen --bogus", "'--bogus'"},
       {"learn a.mini --frob", "'--frob'"},
       {"train a.mini --frob", "'--frob'"},
+      {"train a.mini --distributed", "'--distributed'"},
+      {"train a.mini --provenance", "'--provenance'"},
       {"select run.uspb --nope", "'--nope'"},
       {"analyze a.mini --wat", "'--wat'"},
       {"serve --listen", "'--listen'"},

@@ -165,26 +165,31 @@ ProcSample sampleProc() {
   return S;
 }
 
-/// Opens, uses once and closes 5000 sequential connections to \p Path and
-/// checks that threads and VmSize stay flat from connection 100 on.
-void churnConnections(const std::string &Path) {
+/// Opens, uses once and closes 5000 sequential connections to \p Path,
+/// served by \p Conns, and checks that threads and VmSize stay flat from
+/// connection 100 on. Samples are taken every 100 connections, each once
+/// every handler has finished, so a handler still between EOF and its reap
+/// is not counted; a stuck handler never lets live() reach 0.
+void churnConnections(const std::string &Path,
+                      const service::LineServer &Conns) {
   ProcSample At100, Max;
   for (int I = 1; I <= 5000; ++I) {
     std::string Resp, Err;
     ASSERT_TRUE(clientRoundTrip(Path, "{\"verb\":\"stats\"}", Resp, &Err))
         << Err;
     ASSERT_TRUE(isOk(Resp)) << Resp;
-    if (I < 100)
+    if (I % 100)
       continue;
+    ASSERT_TRUE(waitFor([&] { return Conns.live() == 0; })) << I;
     ProcSample S = sampleProc();
     if (I == 100)
       At100 = S;
     Max.Tasks = std::max(Max.Tasks, S.Tasks);
     Max.VmSizeKb = std::max(Max.VmSizeKb, S.VmSizeKb);
   }
-  // A handler or two may still be between EOF and its reaping, and glibc
-  // may map one more 64 MB malloc arena when two handlers overlap. A leak
-  // grows by one thread and one 8 MB stack per connection: 39 GB here.
+  // A finished handler may still be exiting before its join, and glibc may
+  // map one more 64 MB malloc arena when two handlers overlap. A leak grows
+  // by one thread and one 8 MB stack per connection: 39 GB here.
   EXPECT_LE(Max.Tasks - At100.Tasks, 3);
   EXPECT_LE(Max.VmSizeKb - At100.VmSizeKb, 256 * 1024);
 }
@@ -206,18 +211,16 @@ std::set<int> openFds() {
 TEST(ServiceConn, ServerReapsClosedConnections) {
   std::string Dir = scratchDir("server_churn");
   Replica Rep(Dir + "/r.sock");
-  churnConnections(Rep.Path);
+  churnConnections(Rep.Path, Rep.S.connections());
   EXPECT_EQ(Rep.S.connections().accepted(), 5000u);
-  EXPECT_TRUE(waitFor([&] { return Rep.S.connections().live() == 0; }));
 }
 
 TEST(DistribConn, RouterReapsClosedConnections) {
   std::string Dir = scratchDir("router_churn");
   Replica RA(Dir + "/ra.sock"), RB(Dir + "/rb.sock");
   ServedRouter SR(routerConfig({RA.Path, RB.Path}), Dir + "/router.sock");
-  churnConnections(SR.Path);
+  churnConnections(SR.Path, SR.R.connections());
   EXPECT_EQ(SR.R.connections().accepted(), 5000u);
-  EXPECT_TRUE(waitFor([&] { return SR.R.connections().live() == 0; }));
   // Every fan-out reused the router's one connection per replica.
   EXPECT_EQ(RA.S.connections().accepted(), 1u);
   EXPECT_EQ(RB.S.connections().accepted(), 1u);

@@ -1,24 +1,19 @@
-//===- distrib_test.cpp - Distributed training + routed serving ----------===//
+//===- distrib_test.cpp - Consistent-hash routed serving ------------------===//
 //
 // Part of the USpec reproduction (PLDI 2019). MIT license.
 //
-// Pins the DESIGN.md §14 contracts:
+// Pins the DESIGN.md §14–15 contracts of `uspec route`:
 //
-//   - Wire codecs round-trip every message type, and frames survive a real
-//     socket (length-prefixed, binary-safe).
-//   - `train --distributed N` is byte-identical to single-process `train`
-//     at any worker count, for both file-list and --journal (full and warm)
-//     runs — the flagship determinism claim.
-//   - Worker death (injected SIGKILL via USPEC_FAULT) converges to the same
-//     bytes through reassignment/demotion.
 //   - The consistent-hash router keeps ownership stable when a replica is
 //     removed from the ring, fails over deterministically when one is
 //     marked down, and broadcast reload swaps every replica's model with
 //     no stale cache bleed-through.
+//   - The self-healing layer (probe, respawn, rejoin with warm-cache
+//     replay, hedging) converges deterministically.
 //
-// CLI-driven suites use the real `uspec` binary (USPEC_CLI_PATH, injected
-// by CMake); router suites run distrib::Router and service::Server
-// in-process on Unix sockets under testing::TempDir().
+// Router suites run distrib::Router and service::Server in-process on Unix
+// sockets under testing::TempDir(); the respawn suite launches the real
+// `uspec` binary (USPEC_CLI_PATH, injected by CMake).
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +32,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -53,8 +47,7 @@ struct RunResult {
   std::string Output; ///< stdout + stderr interleaved.
 };
 
-/// Runs a full shell command (so `USPEC_FAULT=... uspec ...` env prefixes
-/// work), merging stderr into the captured output.
+/// Runs a full shell command, merging stderr into the captured output.
 RunResult runShell(const std::string &Command) {
   std::string Full = Command + " 2>&1";
   RunResult R;
@@ -70,10 +63,6 @@ RunResult runShell(const std::string &Command) {
   int Status = pclose(Pipe);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
-}
-
-RunResult runCli(const std::string &ArgString) {
-  return runShell(std::string(USPEC_CLI_PATH) + " " + ArgString);
 }
 
 std::string readFile(const std::string &Path) {
@@ -97,16 +86,6 @@ std::string scratchDir(const std::string &Name) {
   if (std::system(Cmd.c_str()) != 0)
     ADD_FAILURE() << "cannot create scratch dir " << Dir;
   return Dir;
-}
-
-/// Byte-level artifact comparison without dumping binary on failure.
-void expectSameBytes(const std::string &PathA, const std::string &PathB,
-                     const char *What) {
-  std::string A = readFile(PathA), B = readFile(PathB);
-  ASSERT_FALSE(A.empty()) << PathA << " is empty/missing (" << What << ")";
-  EXPECT_EQ(A.size(), B.size()) << What;
-  EXPECT_TRUE(A == B) << What << ": " << PathA << " and " << PathB
-                      << " differ";
 }
 
 /// A small MiniLang program whose text varies with \p Salt — used to find
@@ -133,352 +112,6 @@ std::string analyzeRequest(const std::string &Id, const std::string &Prog) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// DistribWire: addresses, frames, message codecs
-//===----------------------------------------------------------------------===//
-
-TEST(DistribWire, ParseAddressForms) {
-  std::string Err;
-  auto A = parseAddress("unix:/tmp/x.sock", &Err);
-  ASSERT_TRUE(A) << Err;
-  EXPECT_FALSE(A->Tcp);
-  EXPECT_EQ(A->Path, "/tmp/x.sock");
-  EXPECT_EQ(A->str(), "unix:/tmp/x.sock");
-
-  auto Bare = parseAddress("/tmp/y.sock", &Err);
-  ASSERT_TRUE(Bare) << Err;
-  EXPECT_FALSE(Bare->Tcp);
-  EXPECT_EQ(Bare->Path, "/tmp/y.sock");
-
-  auto T = parseAddress("tcp:127.0.0.1:7070", &Err);
-  ASSERT_TRUE(T) << Err;
-  EXPECT_TRUE(T->Tcp);
-  EXPECT_EQ(T->Path, "127.0.0.1");
-  EXPECT_EQ(T->Port, 7070);
-  EXPECT_EQ(T->str(), "tcp:127.0.0.1:7070");
-
-  // A bare token is a (relative) Unix socket path, matching serve --socket.
-  auto Rel = parseAddress("nonsense", &Err);
-  ASSERT_TRUE(Rel) << Err;
-  EXPECT_FALSE(Rel->Tcp);
-
-  EXPECT_FALSE(parseAddress("tcp:hostonly", &Err));
-  EXPECT_FALSE(parseAddress("tcp:h:99999", &Err));
-  EXPECT_FALSE(parseAddress("", &Err));
-}
-
-TEST(DistribWire, FramesSurviveASocketBinarySafe) {
-  int Fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
-
-  // Arbitrary bytes, embedded NULs included: the frame layer is oblivious
-  // to payload contents.
-  std::string Payload = "abc";
-  Payload.push_back('\0');
-  Payload += "def\xff\x01";
-  std::string Err;
-  ASSERT_TRUE(sendFrame(Fds[0], Payload, &Err)) << Err;
-  std::string Got;
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, Payload);
-
-  // A second frame queued behind the first is framed independently.
-  ASSERT_TRUE(sendFrame(Fds[0], "second", &Err)) << Err;
-  ASSERT_TRUE(sendFrame(Fds[0], "", &Err)) << Err;
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, "second");
-  ASSERT_TRUE(recvFrame(Fds[1], Got, &Err)) << Err;
-  EXPECT_EQ(Got, "");
-
-  // Peer close = clean EOF, not garbage.
-  close(Fds[0]);
-  EXPECT_FALSE(recvFrame(Fds[1], Got, &Err));
-  close(Fds[1]);
-
-  // Garbage bytes are not a USPB container.
-  EXPECT_FALSE(peekType(Payload, &Err));
-}
-
-TEST(DistribWire, ControlMessagesRoundTrip) {
-  std::string Frame = encodeControl(MsgType::Hello, "pid 1234");
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Hello);
-
-  MsgType T;
-  std::string Text, Err;
-  ASSERT_TRUE(decodeControl(Frame, T, Text, &Err)) << Err;
-  EXPECT_EQ(T, MsgType::Hello);
-  EXPECT_EQ(Text, "pid 1234");
-
-  Frame = encodeControl(MsgType::Error, "shard 3 exploded");
-  ASSERT_TRUE(decodeControl(Frame, T, Text, &Err)) << Err;
-  EXPECT_EQ(T, MsgType::Error);
-  EXPECT_EQ(Text, "shard 3 exploded");
-}
-
-TEST(DistribWire, InitRoundTripsConfigAndInternerSnapshot) {
-  InitMsg Msg;
-  Msg.Config.Seed = 0xDEADBEEF12345678ull;
-  Msg.Config.DistanceBound = 7;
-  Msg.Config.ProgramStepBudget = 100000;
-  Msg.Config.Threads = 3;
-  Msg.Config.ExperimentalPatterns = true;
-  Msg.Symbols = {"Map", "get", "", "put", "a string with spaces"};
-  Msg.WorkerId = 42;
-
-  std::string Frame = encodeInit(Msg);
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Init);
-
-  InitMsg Out;
-  std::string Err;
-  ASSERT_TRUE(decodeInit(Frame, Out, &Err)) << Err;
-  EXPECT_EQ(Out.Config.Seed, Msg.Config.Seed);
-  EXPECT_EQ(Out.Config.DistanceBound, Msg.Config.DistanceBound);
-  EXPECT_EQ(Out.Config.ProgramStepBudget, Msg.Config.ProgramStepBudget);
-  EXPECT_EQ(Out.Config.Threads, Msg.Config.Threads);
-  EXPECT_EQ(Out.Config.ExperimentalPatterns, Msg.Config.ExperimentalPatterns);
-  EXPECT_EQ(Out.Symbols, Msg.Symbols);
-  EXPECT_EQ(Out.WorkerId, Msg.WorkerId);
-}
-
-TEST(DistribWire, AnalyzeTaskAndResultRoundTrip) {
-  AnalyzeTask Task;
-  Task.Shard = 5;
-  Task.Base = 17;
-  Task.Programs = {{"a.mini", "class A {}"}, {"b.mini", "class B {}"}};
-
-  std::string Frame = encodeAnalyzeTask(Task);
-  AnalyzeTask TOut;
-  std::string Err;
-  ASSERT_TRUE(decodeAnalyzeTask(Frame, TOut, &Err)) << Err;
-  EXPECT_EQ(TOut.Shard, 5u);
-  EXPECT_EQ(TOut.Base, 17u);
-  ASSERT_EQ(TOut.Programs.size(), 2u);
-  EXPECT_EQ(TOut.Programs[0].Name, "a.mini");
-  EXPECT_EQ(TOut.Programs[1].Source, "class B {}");
-
-  AnalyzedResult Result;
-  Result.Shard = 5;
-  Result.Graphs = 2;
-  TrainingSample S1;
-  S1.Features.PosKey = 0x0102;
-  S1.Features.Hashes = {1u, 0xFFFFFFFFu, 42u};
-  S1.Label = 1.0f;
-  TrainingSample S2;
-  S2.Features.PosKey = 0x0201;
-  S2.Features.Hashes = {7u};
-  S2.Label = 0.0f;
-  Result.Samples = {{S1, S2}, {}};
-  Result.QReason = {"", "parse: boom"};
-
-  Frame = encodeAnalyzedResult(Result);
-  AnalyzedResult ROut;
-  ASSERT_TRUE(decodeAnalyzedResult(Frame, ROut, &Err)) << Err;
-  EXPECT_EQ(ROut.Shard, 5u);
-  EXPECT_EQ(ROut.Graphs, 2u);
-  ASSERT_EQ(ROut.Samples.size(), 2u);
-  ASSERT_EQ(ROut.Samples[0].size(), 2u);
-  EXPECT_TRUE(ROut.Samples[1].empty());
-  EXPECT_EQ(ROut.Samples[0][0].Features.PosKey, 0x0102);
-  EXPECT_EQ(ROut.Samples[0][0].Features.Hashes, S1.Features.Hashes);
-  EXPECT_EQ(ROut.Samples[0][0].Label, 1.0f);
-  EXPECT_EQ(ROut.Samples[0][1].Features.Hashes, S2.Features.Hashes);
-  ASSERT_EQ(ROut.QReason.size(), 2u);
-  EXPECT_EQ(ROut.QReason[1], "parse: boom");
-}
-
-TEST(DistribWire, ExtractTaskAndResultRoundTrip) {
-  ExtractTask Task;
-  Task.Shard = 9;
-  Task.Base = 3;
-  // Empty Programs = "use your cached shard state".
-  std::string Frame = encodeExtractTask(Task);
-  ExtractTask TOut;
-  std::string Err;
-  ASSERT_TRUE(decodeExtractTask(Frame, TOut, &Err)) << Err;
-  EXPECT_EQ(TOut.Shard, 9u);
-  EXPECT_EQ(TOut.Base, 3u);
-  EXPECT_TRUE(TOut.Programs.empty());
-
-  StringInterner Strings;
-  ExtractedResult Result;
-  Result.Shard = 9;
-  Result.QUpdates = {{2, "extract:steps"}};
-  Result.ReceiverPairs = 100;
-  Result.Matches = 40;
-  Result.PeakCandidates = 12;
-
-  Frame = encodeExtractedResult(Result, Strings);
-  StringInterner Fresh;
-  ExtractedResult ROut;
-  ASSERT_TRUE(decodeExtractedResult(Frame, ROut, Fresh, &Err)) << Err;
-  EXPECT_EQ(ROut.Shard, 9u);
-  ASSERT_EQ(ROut.QUpdates.size(), 1u);
-  EXPECT_EQ(ROut.QUpdates[0].first, 2u);
-  EXPECT_EQ(ROut.QUpdates[0].second, "extract:steps");
-  EXPECT_EQ(ROut.ReceiverPairs, 100u);
-  EXPECT_EQ(ROut.Matches, 40u);
-  EXPECT_EQ(ROut.PeakCandidates, 12u);
-  EXPECT_TRUE(ROut.Ledger.Entries.empty());
-}
-
-TEST(DistribWire, ModelMessageRoundTrip) {
-  EdgeModelConfig Cfg;
-  Cfg.DimBits = 10;
-  Cfg.Epochs = 2;
-  EdgeModel Model(Cfg);
-  std::string Frame = encodeModelMsg(Model);
-  auto Type = peekType(Frame);
-  ASSERT_TRUE(Type);
-  EXPECT_EQ(*Type, MsgType::Model);
-  EdgeModel Out;
-  std::string Err;
-  ASSERT_TRUE(decodeModelMsg(Frame, Out, &Err)) << Err;
-  EXPECT_EQ(encodeModelMsg(Out), Frame);
-}
-
-//===----------------------------------------------------------------------===//
-// DistribTrain: byte-identity against single-process training (CLI)
-//===----------------------------------------------------------------------===//
-
-TEST(DistribTrain, FileListByteIdenticalAt1_2_4Workers) {
-  std::string Dir = scratchDir("filelist");
-  RunResult Gen =
-      runCli("gen --profile java -n 12 -o " + Dir + "/corpus --seed 3");
-  ASSERT_EQ(Gen.ExitCode, 0) << Gen.Output;
-
-  RunResult Single = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                            "/single.uspb --seed 7");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-
-  for (unsigned W : {1u, 2u, 4u}) {
-    std::string Out = Dir + "/dist" + std::to_string(W) + ".uspb";
-    RunResult Dist = runCli("train " + Dir + "/corpus/*.mini -o " + Out +
-                            " --seed 7 --distributed " + std::to_string(W));
-    ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-    EXPECT_NE(Dist.Output.find("distributed:"), std::string::npos)
-        << Dist.Output;
-    expectSameBytes(Dir + "/single.uspb", Out,
-                    ("file-list, " + std::to_string(W) + " workers").c_str());
-  }
-}
-
-TEST(DistribTrain, JournalFullAndWarmByteIdentical) {
-  std::string Dir = scratchDir("journal");
-  ASSERT_EQ(runCli("gen --profile java -n 10 -o " + Dir + "/c1 --seed 5")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("ingest " + Dir + "/c1/*.mini -j " + Dir + "/c.uspj")
-                .ExitCode, 0);
-
-  // Full journal run, single vs 2 workers.
-  RunResult Single = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                            "/single.uspb --seed 11");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-  RunResult Dist = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                          "/dist.uspb --seed 11 --distributed 2");
-  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-  expectSameBytes(Dir + "/single.uspb", Dir + "/dist.uspb", "journal full");
-
-  // Grow the journal; both sides warm-start from their (identical) priors.
-  ASSERT_EQ(runCli("gen --profile python -n 4 -o " + Dir + "/c2 --seed 6")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("ingest " + Dir + "/c2/*.mini -j " + Dir + "/c.uspj")
-                .ExitCode, 0);
-  Single = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                  "/single.uspb --seed 11");
-  ASSERT_EQ(Single.ExitCode, 0) << Single.Output;
-  EXPECT_NE(Single.Output.find("warm"), std::string::npos) << Single.Output;
-  Dist = runCli("train --journal " + Dir + "/c.uspj -o " + Dir +
-                "/dist.uspb --seed 11 --distributed 3");
-  ASSERT_EQ(Dist.ExitCode, 0) << Dist.Output;
-  EXPECT_NE(Dist.Output.find("warm"), std::string::npos) << Dist.Output;
-  expectSameBytes(Dir + "/single.uspb", Dir + "/dist.uspb", "journal warm");
-}
-
-TEST(DistribTrain, ProvenanceIsOptInAndPlainArtifactsUnchanged) {
-  std::string Dir = scratchDir("provenance");
-  ASSERT_EQ(runCli("gen --profile java -n 8 -o " + Dir + "/corpus --seed 9")
-                .ExitCode, 0);
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/single.uspb --seed 2").ExitCode, 0);
-
-  // Without --provenance the distributed artifact is byte-identical.
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/plain.uspb --seed 2 --distributed 2").ExitCode, 0);
-  expectSameBytes(Dir + "/single.uspb", Dir + "/plain.uspb",
-                  "no-provenance distributed");
-  RunResult InfoPlain = runCli("info " + Dir + "/plain.uspb");
-  ASSERT_EQ(InfoPlain.ExitCode, 0) << InfoPlain.Output;
-  EXPECT_EQ(InfoPlain.Output.find("distributed training:"),
-            std::string::npos) << InfoPlain.Output;
-
-  // With --provenance the manifest records worker count + shard map, and
-  // `uspec info` surfaces it.
-  ASSERT_EQ(runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                   "/prov.uspb --seed 2 --distributed 2 --provenance")
-                .ExitCode, 0);
-  EXPECT_NE(readFile(Dir + "/prov.uspb"), readFile(Dir + "/single.uspb"));
-  RunResult Info = runCli("info " + Dir + "/prov.uspb");
-  ASSERT_EQ(Info.ExitCode, 0) << Info.Output;
-  EXPECT_NE(Info.Output.find("distributed training: 2 worker(s)"),
-            std::string::npos) << Info.Output;
-}
-
-//===----------------------------------------------------------------------===//
-// DistribFault: injected worker death converges to identical bytes
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Trains the fault-free baseline once per suite run.
-std::string faultBaseline(const std::string &Dir) {
-  EXPECT_EQ(runCli("gen --profile java -n 10 -o " + Dir + "/corpus --seed 4")
-                .ExitCode, 0);
-  RunResult R = runCli("train " + Dir + "/corpus/*.mini -o " + Dir +
-                       "/single.uspb --seed 13");
-  EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  return Dir + "/single.uspb";
-}
-
-} // namespace
-
-TEST(DistribFault, WorkerKilledMidAnalyzeConvergesByteIdentical) {
-  std::string Dir = scratchDir("fault_analyze");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.worker.analyze:0:kill " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("died"), std::string::npos) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "kill mid-analyze");
-}
-
-TEST(DistribFault, WorkerKilledMidExtractConvergesByteIdentical) {
-  std::string Dir = scratchDir("fault_extract");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.worker.extract:0:kill " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "kill mid-extract");
-}
-
-TEST(DistribFault, SpawnFailureDegradesButStaysByteIdentical) {
-  std::string Dir = scratchDir("fault_spawn");
-  std::string Baseline = faultBaseline(Dir);
-  RunResult R = runShell("USPEC_FAULT=distrib.spawn:0:throw " +
-                         std::string(USPEC_CLI_PATH) + " train " + Dir +
-                         "/corpus/*.mini -o " + Dir +
-                         "/dist.uspb --seed 13 --distributed 2");
-  ASSERT_EQ(R.ExitCode, 0) << R.Output;
-  expectSameBytes(Baseline, Dir + "/dist.uspb", "spawn fault");
-}
 
 //===----------------------------------------------------------------------===//
 // DistribRouter: ring math (pure, in-process)

@@ -233,6 +233,15 @@ struct GenParam {
   double Direct, Roundtrip, Getter, Mutating, Complex;
 };
 
+// Names each instantiation by its seed, profile and five weights (w=).
+// gtest's default dumps the raw bytes, padding included, so the test names
+// would change between builds.
+void PrintTo(const GenParam &P, std::ostream *OS) {
+  *OS << "seed=" << P.Seed << (P.Python ? " python" : " java") << " w="
+      << P.Direct << '/' << P.Roundtrip << '/' << P.Getter << '/'
+      << P.Mutating << '/' << P.Complex;
+}
+
 class GeneratorRobustness : public ::testing::TestWithParam<GenParam> {};
 
 TEST_P(GeneratorRobustness, EveryProgramParsesLowersAnalyzes) {

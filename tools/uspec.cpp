@@ -82,20 +82,6 @@
 //       retries transient failures (connection errors, `overloaded`) with
 //       deterministic seeded exponential backoff.
 //
-//   uspec train   ... --distributed N [--listen ADDR] [--worker-threads N]
-//                 [--provenance]
-//       Fan the training pipeline out across N worker processes
-//       (self-spawned, or externally launched `uspec worker` instances
-//       when --listen is given). The artifact is byte-identical to the
-//       single-process run at any worker count — including after worker
-//       deaths, which reassign shards with bounded retries and demote to
-//       in-process execution. --provenance records the worker count and
-//       shard-map checksum in the manifest (shown by `uspec info`).
-//
-//   uspec worker  --connect ADDR [--threads N]
-//       One training worker: connect to a coordinator, process shards
-//       until Done.
-//
 //   uspec route   --socket PATH --replicas SOCK1,SOCK2,... [--vnodes N]
 //                 [--supervise] [--respawn-cmd CMD | --model PATH]
 //                 [--probe-interval-ms N] [--respawn-seed S]
@@ -121,10 +107,9 @@
 //       Chrome-trace shards into one Perfetto-loadable trace: shards are
 //       aligned onto the shared steady-clock timeline via their uspecBaseNs
 //       epoch, every pid gets process_name metadata, and flow events link
-//       router forwards to the replica request spans (and coordinator runs
-//       to worker shard spans) that carry the same trace id. `top` renders
-//       a one-shot (or --watch, refreshing) fleet summary from a router or
-//       serve socket. `events` prints a structured event log (--events /
+//       router forwards to the replica request spans that carry the same
+//       trace id. `top` renders a one-shot (or --watch, refreshing) fleet
+//       summary from a router or serve socket. `events` prints a structured event log (--events /
 //       USPEC_EVENTS), optionally filtered by --type and tailed by
 //       --follow.
 //
@@ -142,9 +127,7 @@
 #include "corpus/Dedup.h"
 #include "corpus/Generator.h"
 #include "corpus/Profiles.h"
-#include "distrib/Coordinator.h"
 #include "distrib/Router.h"
-#include "distrib/Worker.h"
 #include "eventgraph/Dot.h"
 #include "incremental/Journal.h"
 #include "incremental/Trainer.h"
@@ -192,9 +175,6 @@ int usage() {
       "  uspec train --journal corpus.uspj -o run.uspb [--replay]\n"
       "              [--tau X] [--seed S] [--threads N] [--stats]\n"
       "              [--step-budget N] [--trace t.json]\n"
-      "  uspec train ... --distributed N [--listen ADDR]\n"
-      "              [--worker-threads N] [--provenance]\n"
-      "  uspec worker --connect ADDR [--threads N]\n"
       "  uspec route --socket PATH --replicas SOCK1,SOCK2,...\n"
       "              [--vnodes N] [--supervise]\n"
       "              [--respawn-cmd CMD | --model run.uspb]\n"
@@ -407,18 +387,14 @@ int cmdGen(Args &A) {
 bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
                 std::vector<IRProgram> &Corpus, CorpusManifest &Manifest,
                 bool Strict, std::vector<QuarantineRecord> &Quarantined,
-                unsigned Threads,
-                std::vector<distrib::ProgramSource> *Sources = nullptr) {
-  // Distributed runs ship the text to workers, so each file keeps its own.
-  std::vector<std::string> Kept(Sources ? Files.size() : 0);
+                unsigned Threads) {
   std::vector<LoweredSource> Lowered = lowerCorpus(
       Files,
       [&](size_t I, std::string &Buffer,
           std::string &Err) -> std::optional<std::string_view> {
-        std::string &Text = Sources ? Kept[I] : Buffer;
-        if (!readFileInto(Files[I], Text, Err))
+        if (!readFileInto(Files[I], Buffer, Err))
           return std::nullopt;
-        return Text;
+        return Buffer;
       },
       Strings, Threads);
   Corpus.reserve(Files.size());
@@ -445,8 +421,6 @@ bool loadCorpus(const std::vector<std::string> &Files, StringInterner &Strings,
     }
     Manifest.Entries.push_back({Path, L.Fingerprint});
     Corpus.push_back(std::move(*L.Program));
-    if (Sources)
-      Sources->push_back({Path, std::move(Kept[I])});
   }
   if (Corpus.empty()) {
     std::fprintf(stderr, "error: no loadable programs in the corpus\n");
@@ -488,10 +462,8 @@ int cmdLearnOrTrain(Args &A, bool Train) {
   uint64_t Seed = 0xC0FFEE;
   uint64_t Threads = 0; // 0 = hardware concurrency
   uint64_t StepBudget = 0;
-  uint64_t Distributed = 0, WorkerThreads = 1;
-  std::string ListenAddr;
   bool Dedup = false, Stats = false, Strict = false, Resume = false;
-  bool Replay = false, Provenance = false;
+  bool Replay = false;
   const char *Cmd = Train ? "train" : "learn";
   while (const char *Arg = A.next()) {
     if (!std::strcmp(Arg, "--dedup")) {
@@ -502,30 +474,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
       Strict = true;
     } else if (Train && !std::strcmp(Arg, "--resume")) {
       Resume = true;
-    } else if (Train && !std::strcmp(Arg, "--distributed")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseUInt("--distributed", V, Distributed))
-        return 2;
-      if (!Distributed) {
-        std::fprintf(stderr, "error: --distributed expects at least 1 "
-                             "worker\n");
-        return 2;
-      }
-    } else if (Train && !std::strcmp(Arg, "--listen")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      ListenAddr = V;
-    } else if (Train && !std::strcmp(Arg, "--worker-threads")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      if (!parseUInt("--worker-threads", V, WorkerThreads))
-        return 2;
-    } else if (Train && !std::strcmp(Arg, "--provenance")) {
-      Provenance = true;
     } else if (Train && !std::strcmp(Arg, "--journal")) {
       const char *V = A.next();
       if (!V)
@@ -597,27 +545,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     std::fprintf(stderr, "error: --replay requires --journal\n");
     return 2;
   }
-  if (!Distributed && (Provenance || !ListenAddr.empty())) {
-    std::fprintf(stderr, "error: %s requires --distributed N\n",
-                 Provenance ? "--provenance" : "--listen");
-    return 2;
-  }
-  distrib::DistribOptions DOpts;
-  DOpts.NumWorkers = static_cast<unsigned>(Distributed);
-  DOpts.ListenAddress = ListenAddr;
-  DOpts.WorkerThreads = static_cast<unsigned>(WorkerThreads);
-  distrib::DistStats DStats;
-  auto PrintDistSummary = [&] {
-    for (const std::string &Note : DStats.Notes)
-      std::fprintf(stderr, "note: %s\n", Note.c_str());
-    std::fprintf(stderr,
-                 "distributed: %u/%u workers (%u died), %zu shards "
-                 "(%zu reassigned, %zu demoted), shard map %016llx\n",
-                 DStats.WorkersConnected, DStats.WorkersRequested,
-                 DStats.WorkersDied, DStats.Shards, DStats.ShardsReassigned,
-                 DStats.ShardsDemoted,
-                 static_cast<unsigned long long>(DStats.ShardMapChecksum));
-  };
   if (!TracePath.empty()) {
     std::string Err;
     if (!trace::startToFile(TracePath, &Err)) {
@@ -658,67 +585,14 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     Cfg.Seed = Seed;
     Cfg.Threads = static_cast<unsigned>(Threads);
     Cfg.ProgramStepBudget = StepBudget;
-    // --distributed swaps the pipeline engine under the journal layer: mode
-    // decisions, lineage and diffs are unchanged, only learn()/
-    // learnIncrement() fan out to worker processes. The closures slice the
-    // journal itself into shard payloads (the parsed corpus they receive
-    // already populated the interner, which is all distributedLearn needs
-    // from it) and fall back to the in-process learner if provisioning
-    // fails outright.
-    incremental::PipelineEngine Engine;
-    if (Distributed) {
-      Engine.Full = [&](const std::vector<IRProgram> &Corpus) -> LearnResult {
-        std::vector<distrib::ProgramSource> Sources;
-        Sources.reserve(J.Entries.size());
-        for (const auto &E : J.Entries)
-          Sources.push_back({E.Name, E.Source});
-        std::string DErr;
-        auto R = distrib::distributedLearn(Sources, Cfg, Strings, DOpts,
-                                           std::nullopt, DStats, &DErr);
-        if (R)
-          return std::move(*R);
-        std::fprintf(stderr,
-                     "warning: distributed run unavailable (%s); training "
-                     "in-process\n",
-                     DErr.c_str());
-        USpecLearner Learner(Strings, Cfg);
-        return Learner.learn(Corpus);
-      };
-      Engine.Increment = [&](const std::vector<IRProgram> &Delta,
-                             WarmStart Seed) -> LearnResult {
-        std::vector<distrib::ProgramSource> Sources;
-        Sources.reserve(J.Entries.size() - Seed.BasePrograms);
-        for (size_t I = Seed.BasePrograms; I < J.Entries.size(); ++I)
-          Sources.push_back({J.Entries[I].Name, J.Entries[I].Source});
-        std::string DErr;
-        auto R = distrib::distributedLearn(Sources, Cfg, Strings, DOpts,
-                                           Seed, DStats, &DErr);
-        if (R)
-          return std::move(*R);
-        std::fprintf(stderr,
-                     "warning: distributed run unavailable (%s); training "
-                     "in-process\n",
-                     DErr.c_str());
-        USpecLearner Learner(Strings, Cfg);
-        return Learner.learnIncrement(Delta, std::move(Seed));
-      };
-    }
-    auto Outcome = incremental::trainFromJournal(
-        J, Cfg, Strings, PrevBytes, Replay, &Err,
-        Distributed ? &Engine : nullptr);
+    auto Outcome = incremental::trainFromJournal(J, Cfg, Strings, PrevBytes,
+                                                 Replay, &Err);
     if (!Outcome) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
     for (const std::string &Note : Outcome->Notes)
       std::fprintf(stderr, "note: %s\n", Note.c_str());
-    if (Distributed && Outcome->Mode != incremental::TrainMode::UpToDate) {
-      PrintDistSummary();
-      if (Provenance) {
-        Outcome->Manifest.DistWorkers = Distributed;
-        Outcome->Manifest.DistShardChecksum = DStats.ShardMapChecksum;
-      }
-    }
     if (Outcome->Mode == incremental::TrainMode::UpToDate) {
       std::fprintf(stderr,
                    "%s is up to date with %s (generation %llu, %zu entries); "
@@ -761,10 +635,8 @@ int cmdLearnOrTrain(Args &A, bool Train) {
   std::vector<IRProgram> Corpus;
   CorpusManifest Manifest;
   std::vector<QuarantineRecord> ParseQuarantine;
-  std::vector<distrib::ProgramSource> RawSources;
   if (!loadCorpus(Files, Strings, Corpus, Manifest, Strict, ParseQuarantine,
-                  static_cast<unsigned>(Threads),
-                  Distributed ? &RawSources : nullptr))
+                  static_cast<unsigned>(Threads)))
     return 1;
 
   if (Dedup) {
@@ -776,7 +648,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
     std::vector<size_t> Dups = duplicateIndices(Fingerprints);
     eraseIndices(Corpus, Dups);
     eraseIndices(Manifest.Entries, Dups);
-    eraseIndices(RawSources, Dups);
     std::fprintf(stderr, "dedup: removed %zu duplicate program(s)\n",
                  Dups.size());
   }
@@ -816,28 +687,7 @@ int cmdLearnOrTrain(Args &A, bool Train) {
   Cfg.Threads = static_cast<unsigned>(Threads);
   Cfg.ProgramStepBudget = StepBudget;
   USpecLearner Learner(Strings, Cfg);
-  LearnResult Result;
-  if (Distributed) {
-    std::string DErr;
-    auto R = distrib::distributedLearn(RawSources, Cfg, Strings, DOpts,
-                                       std::nullopt, DStats, &DErr);
-    if (R) {
-      Result = std::move(*R);
-    } else {
-      std::fprintf(stderr,
-                   "warning: distributed run unavailable (%s); training "
-                   "in-process\n",
-                   DErr.c_str());
-      Result = Learner.learn(Corpus);
-    }
-    PrintDistSummary();
-    if (Provenance) {
-      Manifest.DistWorkers = Distributed;
-      Manifest.DistShardChecksum = DStats.ShardMapChecksum;
-    }
-  } else {
-    Result = Learner.learn(Corpus);
-  }
+  LearnResult Result = Learner.learn(Corpus);
   printCandidates(Strings, Corpus.size(), Result.Candidates,
                   Result.Selected.size(), Tau);
   // Specs/artifacts go to stdout or -o; stats stay on stderr so pipelines
@@ -1051,13 +901,6 @@ int cmdInfo(Args &A) {
                 static_cast<unsigned long long>(L.ChainChecksum),
                 Artifacts->Ledger ? ", evidence ledger present" : "");
   }
-  if (Artifacts->Manifest.DistWorkers != 0)
-    std::printf("distributed training: %llu worker(s), shard map checksum "
-                "%016llx\n",
-                static_cast<unsigned long long>(
-                    Artifacts->Manifest.DistWorkers),
-                static_cast<unsigned long long>(
-                    Artifacts->Manifest.DistShardChecksum));
   return 0;
 }
 
@@ -1451,58 +1294,8 @@ int cmdServe(Args &A) {
 }
 
 //===----------------------------------------------------------------------===//
-// worker / route (distributed training + routed serving, DESIGN.md §14)
+// route (routed serving, DESIGN.md §14)
 //===----------------------------------------------------------------------===//
-
-/// `uspec worker --connect ADDR [--threads N]`: one externally-launched (or
-/// coordinator-spawned) training worker. Connects, serves shards, exits
-/// when the coordinator says Done or goes away.
-int cmdWorker(Args &A) {
-  std::string Connect;
-  uint64_t Threads = 0;
-  while (const char *Arg = A.next()) {
-    if (!std::strcmp(Arg, "--connect")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("worker", Arg);
-      Connect = V;
-    } else if (!std::strcmp(Arg, "--threads")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue("worker", Arg);
-      if (!parseUInt("--threads", V, Threads))
-        return 2;
-    } else {
-      return unknownToken("worker", Arg);
-    }
-  }
-  if (Connect.empty()) {
-    std::fprintf(stderr, "error: worker requires --connect ADDR\n");
-    return 2;
-  }
-  std::string Err;
-  auto Addr = distrib::parseAddress(Connect, &Err);
-  if (!Addr) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 2;
-  }
-  // Coordinator-spawned workers inherit USPEC_TRACE; re-arm onto a per-pid
-  // shard so each worker writes its own file instead of the last exiting
-  // worker clobbering the coordinator's. `uspec obs stitch` merges them.
-  if (trace::enabled()) {
-    if (const char *Base = std::getenv("USPEC_TRACE")) {
-      std::string Shard = std::string(Base) + "." +
-                          std::to_string(static_cast<long>(::getpid()));
-      std::string TraceErr;
-      if (!Shard.empty() && !trace::startToFile(Shard, &TraceErr))
-        std::fprintf(stderr, "warning: %s\n", TraceErr.c_str());
-    }
-  }
-  int Rc = distrib::runWorker(*Addr, static_cast<unsigned>(Threads), &Err);
-  if (Rc != 0 && !Err.empty())
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-  return Rc;
-}
 
 /// `uspec route --socket PATH --replicas SOCK1,SOCK2,... [--vnodes N]
 ///  [--supervise] [--respawn-cmd CMD] [--model PATH]
@@ -1996,7 +1789,7 @@ void writeJson(const service::JsonValue &V, std::string &Out) {
 }
 
 /// String member \p Key of the "args" object of trace event \p E ("" when
-/// absent) — where spans carry trace_id / trace_ctx correlation keys.
+/// absent) — where spans carry their trace_id correlation key.
 std::string obsSpanArg(const service::JsonValue &E, const char *Key) {
   const service::JsonValue *Args = E.find("args");
   if (!Args || !Args->isObject())
@@ -2010,9 +1803,8 @@ std::string obsSpanArg(const service::JsonValue &E, const char *Key) {
 /// shared machine-wide steady clock via their uspecBaseNs session epoch,
 /// each pid gets a process_name metadata record naming its role (inferred
 /// from span-name prefixes) and source shard, and flow events connect
-/// router.forward spans to the replica service.request spans — and
-/// distrib.coordinate spans to worker.* shard spans — that carry the same
-/// trace_id / trace_ctx.
+/// router.forward spans to the replica service.request spans that carry the
+/// same trace_id.
 int cmdObsStitch(const std::vector<const char *> &Pos) {
   if (Pos.size() < 3) {
     std::fprintf(stderr,
@@ -2071,9 +1863,7 @@ int cmdObsStitch(const std::vector<const char *> &Pos) {
   std::map<std::string, std::vector<SpanRef>> FlowSrc, FlowDst;
   static const std::pair<const char *, const char *> Roles[] = {
       {"router.", "uspec route"},
-      {"worker.", "uspec worker"},
       {"service.", "uspec serve"},
-      {"distrib.", "uspec train"},
       {"learn.", "uspec train"},
   };
   for (Shard &S : Shards) {
@@ -2109,19 +1899,11 @@ int cmdObsStitch(const std::vector<const char *> &Pos) {
         }
         const service::JsonValue *TidV = E.find("tid");
         SpanRef Ref{Pid, TidV ? TidV->NumberValue : 0, Ts};
-        if (Name == "router.forward" || Name == "distrib.coordinate") {
+        bool Src = Name == "router.forward";
+        if (Src || Name == "service.request") {
           std::string Key = obsSpanArg(E, "trace_id");
-          if (Key.empty())
-            Key = obsSpanArg(E, "trace_ctx");
           if (!Key.empty())
-            FlowSrc[Key].push_back(Ref);
-        } else if (Name == "service.request" ||
-                   !Name.compare(0, 7, "worker.")) {
-          std::string Key = obsSpanArg(E, "trace_id");
-          if (Key.empty())
-            Key = obsSpanArg(E, "trace_ctx");
-          if (!Key.empty())
-            FlowDst[Key].push_back(Ref);
+            (Src ? FlowSrc : FlowDst)[Key].push_back(Ref);
         }
       }
     }
@@ -2436,8 +2218,6 @@ int runSubcommand(Args &A, const char *Cmd) {
     return cmdAnalyze(A);
   if (!std::strcmp(Cmd, "serve"))
     return cmdServe(A);
-  if (!std::strcmp(Cmd, "worker"))
-    return cmdWorker(A);
   if (!std::strcmp(Cmd, "route"))
     return cmdRoute(A);
   if (!std::strcmp(Cmd, "query"))
