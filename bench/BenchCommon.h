@@ -16,8 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef USPEC_BENCH_BENCHCOMMON_H
-#define USPEC_BENCH_BENCHCOMMON_H
+#ifndef USPEC_BENCHCOMMON_H
+#define USPEC_BENCHCOMMON_H
 
 #include "artifact/Checkpoint.h"
 #include "core/USpec.h"
@@ -136,4 +136,4 @@ inline void banner(const std::string &Title) {
 
 } // namespace uspec::bench
 
-#endif // USPEC_BENCH_BENCHCOMMON_H
+#endif // USPEC_BENCHCOMMON_H

@@ -14,13 +14,9 @@
 
 #include "BenchCommon.h"
 
-#include "support/EventLog.h"
 #include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
-
-#include <cstring>
-#include <unistd.h>
 
 using namespace uspec;
 using namespace uspec::bench;
@@ -220,125 +216,6 @@ void BM_FullPipelineTraced(benchmark::State &State) {
 }
 BENCHMARK(BM_FullPipelineTraced)->Arg(0)->Arg(1);
 
-// Structured event log overhead (DESIGN.md §16): the same corpus learned
-// with the event log disarmed (Arg 0 — every events::emit call site in the
-// fleet code is one relaxed atomic load, and learn() itself emits nothing)
-// and armed to a scratch file (Arg 1, with one lifecycle emit per
-// iteration — fleet events are rare by design, so arming must not perturb
-// the pipeline either). Both Args must sit within noise of BM_FullPipeline
-// at the same size; a regression here means emission crept onto the hot
-// path.
-void BM_FullPipelineEvents(benchmark::State &State) {
-  bool Armed = State.range(0) != 0;
-  static StringInterner S;
-  GeneratedCorpus &Corpus = corpusOf(200, S);
-  LearnerConfig Cfg;
-  std::string Path =
-      "/tmp/uspec_bench_events_" + std::to_string(getpid()) + ".jsonl";
-  if (Armed) {
-    std::string Err;
-    if (!events::startToFile(Path, 0, &Err)) {
-      State.SkipWithError(Err.c_str());
-      return;
-    }
-  }
-  for (auto _ : State) {
-    if (events::enabled())
-      events::emit("reload", {{"generation", "1"}});
-    USpecLearner Learner(S, Cfg);
-    benchmark::DoNotOptimize(Learner.learn(Corpus.Programs));
-  }
-  if (Armed) {
-    events::finish();
-    ::unlink(Path.c_str());
-  }
-  State.SetItemsProcessed(State.iterations() * Corpus.Programs.size());
-  State.SetLabel(Armed ? "event log armed" : "event log off");
-}
-BENCHMARK(BM_FullPipelineEvents)->Arg(0)->Arg(1);
-
-/// --uspec_phase_json[=N]: instead of google-benchmark, run the full
-/// pipeline over the default corpus profile (N programs, default 400) once
-/// per thread count in {1, 2, 4, 8} and print one JSON document with the
-/// per-phase PipelineStats of each run plus end-to-end speedups vs 1
-/// thread. This is the repo's BENCH trajectory format: one machine-readable
-/// line block per commit.
-int runPhaseStatsJson(size_t NumPrograms) {
-  StringInterner S;
-  LanguageProfile Profile = javaProfile();
-  GeneratorConfig GenCfg;
-  GenCfg.NumPrograms = NumPrograms;
-  GenCfg.Seed = 0xBE7C4;
-  GeneratedCorpus Corpus = generateCorpus(Profile, GenCfg, S);
-
-  const unsigned ThreadCounts[] = {1, 2, 4, 8};
-  double BaselineSec = 0;
-  std::printf("{\n  \"bench\": \"perf_pipeline.phase_stats\",\n"
-              "  \"profile\": \"%s\",\n  \"programs\": %zu,\n"
-              "  \"runs\": [\n",
-              Profile.Name.c_str(), Corpus.Programs.size());
-  for (size_t I = 0; I < std::size(ThreadCounts); ++I) {
-    LearnerConfig Cfg;
-    Cfg.Threads = ThreadCounts[I];
-    USpecLearner Learner(S, Cfg);
-    LearnResult Result = Learner.learn(Corpus.Programs);
-    if (I == 0)
-      BaselineSec = Result.Stats.TotalSeconds;
-    double Speedup = Result.Stats.TotalSeconds > 0
-                         ? BaselineSec / Result.Stats.TotalSeconds
-                         : 0;
-    std::printf("    {\"stats\": %s, \"speedup_vs_1\": %.3f}%s\n",
-                Result.Stats.json().c_str(), Speedup,
-                I + 1 < std::size(ThreadCounts) ? "," : "");
-  }
-  std::printf("  ],\n");
-
-  // Event-log overhead rows (DESIGN.md §16), the committed counterpart of
-  // BM_FullPipelineEvents: one single-thread learn with the log disarmed
-  // and one armed to a scratch file (with a lifecycle emit, as a fleet
-  // process would produce). bench_compare.sh gates both against the
-  // baseline and the armed row against the candidate's own disarmed row —
-  // arming the event log must never cost learn() wall-clock.
-  double DisarmedSec = 0, ArmedSec = 0;
-  for (int Armed = 0; Armed < 2; ++Armed) {
-    std::string Path = "/tmp/uspec_bench_events_" +
-                       std::to_string(static_cast<long>(getpid())) +
-                       ".jsonl";
-    if (Armed && !events::startToFile(Path))
-      break;
-    if (events::enabled())
-      events::emit("reload", {{"generation", "1"}});
-    LearnerConfig Cfg;
-    Cfg.Threads = 1;
-    USpecLearner Learner(S, Cfg);
-    LearnResult Result = Learner.learn(Corpus.Programs);
-    (Armed ? ArmedSec : DisarmedSec) = Result.Stats.TotalSeconds;
-    if (Armed) {
-      events::finish();
-      ::unlink(Path.c_str());
-    }
-  }
-  std::printf("  \"events_overhead\": {\"disarmed_seconds\": %.6f, "
-              "\"armed_seconds\": %.6f}\n}\n",
-              DisarmedSec, ArmedSec);
-  return 0;
-}
-
 } // namespace
 
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strncmp(argv[I], "--uspec_phase_json", 18)) {
-      size_t N = 400;
-      if (argv[I][18] == '=')
-        N = static_cast<size_t>(std::strtoull(argv[I] + 19, nullptr, 10));
-      return runPhaseStatsJson(N ? N : 400);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,163 +1,124 @@
 #!/usr/bin/env bash
-#===- bench_compare.sh - Gate candidate bench JSON against baselines -----===#
+#===- bench_compare.sh - Parent vs change gate on the repo benchmark -----===#
 #
 # Part of the USpec reproduction (PLDI 2019). MIT license.
 #
-# Compares freshly recorded bench documents (candidate) against the
-# committed baselines (BENCH_pipeline.json / BENCH_service.json) and fails
-# when the candidate regresses past the tolerance:
+# The repo's one performance gate (README "Benchmarks"). It runs the repo
+# benchmark, perfbench/run.py, on two checkouts on the same machine:
 #
-#   BENCH_pipeline.json  phase_seconds.total per thread count must not grow
-#                        by more than the tolerance; the events_overhead
-#                        rows must stay within tolerance of the baseline AND
-#                        the armed row within tolerance of the candidate's
-#                        own disarmed row (arming the event log must never
-#                        cost learn() wall-clock).
-#   BENCH_service.json   cold_qps and warm_qps per worker count must not
-#                        shrink by more than the tolerance; the hedged-tail
-#                        rows must keep hedged p99 <= unhedged p99 (the
-#                        candidate's own rows — the injected slow replica
-#                        makes the margin structural, not noise), and per-
-#                        mode p99 must not grow past the tolerance against
-#                        the baseline.
+#   1. copies the change's perfbench/ and BENCHMARK.json over PARENT_DIR, so
+#      both sides run the same benchmark code against their own sources;
+#   2. for every workload in BENCHMARK.json, runs 3 pairs of
+#        python3 perfbench/run.py --workload W --seed 3 --seconds S
+#      (S is BENCHMARK.json's run_seconds), alternating which side goes
+#      first, and prints each run's result as one JSON line;
+#   3. prints a parent/change table of every end_to_end metric's median and
+#      fails (exit 1) when
+#        - a change median is worse than the parent's by more than the
+#          metric's bound, in the metric's `better` direction;
+#        - any run prints "correct": false, or no result line at all (a
+#          run that run.py rejects because its load generator fell behind
+#          is measured again, up to 3 attempts);
+#        - the change's share of failed operations is higher than the
+#          parent's.
 #
-# The gate is noise-aware, not a microbenchmark judge: shared CI runners
-# jitter real time by double-digit percentages, so the default tolerance is
-# a generous 25% and an absolute slack floor exempts sub-noise phase times
-# entirely. Tune via environment:
+# PARENT_DIR is modified (step 1); use a scratch checkout or worktree.
+# Each side builds into its own .bench_build/. A gate run takes about
+# 12 x run_seconds plus the runs' set-up and the two builds.
 #
-#   USPEC_BENCH_TOLERANCE    relative regression allowed (default 0.25)
-#   USPEC_BENCH_ABS_SLACK_S  absolute seconds always forgiven on phase
-#                            totals (default 0.005) — a 2ms total that
-#                            doubles is scheduler noise, not a regression
-#
-# Usage: scripts/bench_compare.sh <candidate-dir> [baseline-dir]
-#   candidate-dir  directory holding the freshly recorded BENCH_*.json
-#   baseline-dir   directory with the committed baselines (default: repo root)
+# Usage: scripts/bench_compare.sh PARENT_DIR CHANGE_DIR
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
 
-CAND=${1:?usage: bench_compare.sh <candidate-dir> [baseline-dir]}
-BASE=${2:-$(cd "$(dirname "$0")/.." && pwd)}
-TOL=${USPEC_BENCH_TOLERANCE:-0.25}
-ABS=${USPEC_BENCH_ABS_SLACK_S:-0.005}
+if [ $# -ne 2 ]; then
+  echo "usage: scripts/bench_compare.sh PARENT_DIR CHANGE_DIR" >&2
+  exit 2
+fi
+PARENT=$(cd "$1" && pwd)
+CHANGE=$(cd "$2" && pwd)
+if [ "$PARENT" = "$CHANGE" ]; then
+  echo "error: PARENT_DIR and CHANGE_DIR are the same directory" >&2
+  exit 2
+fi
 
-for f in BENCH_pipeline.json BENCH_service.json; do
-  for d in "$BASE" "$CAND"; do
-    if [ ! -f "$d/$f" ]; then
-      echo "error: $d/$f not found" >&2
-      exit 2
-    fi
-  done
-done
+rm -rf "$PARENT/perfbench"
+cp -R "$CHANGE/perfbench" "$PARENT/perfbench"
+cp "$CHANGE/BENCHMARK.json" "$PARENT/BENCHMARK.json"
 
-python3 - "$BASE" "$CAND" "$TOL" "$ABS" <<'EOF'
-import json, sys
+python3 - "$PARENT" "$CHANGE" <<'EOF'
+import json, os, subprocess, sys
+from statistics import median
 
-base_dir, cand_dir, tol, abs_slack = (
-    sys.argv[1], sys.argv[2], float(sys.argv[3]), float(sys.argv[4]))
+sides = {"parent": sys.argv[1], "change": sys.argv[2]}
+with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
+    spec = json.load(f)
+PAIRS, SEED, ATTEMPTS = 3, 3, 3
+runs, problems = {}, []
 
-def load(d, name):
-    with open(f"{d}/{name}") as f:
-        return json.load(f)
 
-failures = []
+def measure(w, side, pair):
+    """One run's result line, or None. A run that run.py rejects because
+    its load generator fell behind (a busy host, not the program) is
+    measured again, up to ATTEMPTS times in all."""
+    for attempt in range(1, ATTEMPTS + 1):
+        p = subprocess.run(
+            ["python3", "perfbench/run.py", "--workload", w, "--seed",
+             str(SEED), "--seconds", str(spec["run_seconds"])],
+            cwd=sides[side], capture_output=True, text=True)
+        sys.stderr.write(p.stderr)
+        r = json.loads(p.stdout.splitlines()[-1]) if p.returncode == 0 else None
+        print(json.dumps({"workload": w, "side": side, "pair": pair,
+                          "attempt": attempt, "exit": p.returncode,
+                          "result": r}), flush=True)
+        if r is not None or "run rejected" not in p.stderr:
+            return r, p.returncode
+    return None, p.returncode
 
-def check(label, base, cand, kind):
-    """kind='time': regression when cand > base*(1+tol) + abs_slack.
-    kind='rate': regression when cand < base*(1-tol)."""
-    if base <= 0:
-        return
-    if kind == "time":
-        limit = base * (1 + tol) + abs_slack
-        bad = cand > limit
-        delta = (cand - base) / base
-    else:
-        limit = base * (1 - tol)
-        bad = cand < limit
-        delta = (cand - base) / base
-    mark = "FAIL" if bad else "ok"
-    print(f"  {mark:4} {label:40} base={base:<12g} cand={cand:<12g} "
-          f"({delta:+.1%})")
+
+for w in [w["name"] for w in spec["workloads"]]:
+    for pair in range(1, PAIRS + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            r, code = measure(w, side, pair)
+            if r is None:
+                problems.append(f"{w}: {side} run {pair} printed no result "
+                                f"(exit {code})")
+                continue
+            if not r["correct"]:
+                problems.append(f'{w}: {side} run {pair} printed '
+                                '"correct": false')
+            runs.setdefault((w, side), []).append(r)
+
+print(f"\n{'':4} {'metric':28} {'parent':>12} {'change':>12} {'delta':>8}"
+      f" {'bound':>6}")
+for w in [w["name"] for w in spec["workloads"]]:
+    par, chg = runs.get((w, "parent")), runs.get((w, "change"))
+    if not par or not chg:
+        continue
+    for m in spec["end_to_end"]:
+        pm = median(r["metrics"][m["name"]]["value"] for r in par)
+        cm = median(r["metrics"][m["name"]]["value"] for r in chg)
+        delta = (cm - pm) / pm if pm else 0.0
+        worse = delta if m["better"] == "lower" else -delta
+        bad = worse > m["bound"]
+        label = f"{w}/{m['name']}"
+        print(f"{'FAIL' if bad else 'ok':4} {label:28} {pm:12.4f} {cm:12.4f}"
+              f" {delta:+8.1%} {m['bound']:6.0%}")
+        if bad:
+            problems.append(f"{label}: change median {cm:.4f} is worse than "
+                            f"parent {pm:.4f} by more than {m['bound']:.0%}")
+    share = {s: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"]
+             for r in rs)) for s, rs in (("parent", par), ("change", chg))}
+    bad = share["change"] > share["parent"]
+    print(f"{'FAIL' if bad else 'ok':4} {w + '/failed_share':28} "
+          f"{share['parent']:12.4f} {share['change']:12.4f}")
     if bad:
-        failures.append(label)
+        problems.append(f"{w}: change failed a larger share of operations")
 
-print(f"tolerance={tol:.0%}  abs_slack={abs_slack}s")
-
-print("pipeline (phase_seconds.total per thread count):")
-bp = load(base_dir, "BENCH_pipeline.json")
-cp = load(cand_dir, "BENCH_pipeline.json")
-base_runs = {r["stats"]["threads"]: r for r in bp["runs"]}
-for run in cp["runs"]:
-    th = run["stats"]["threads"]
-    if th not in base_runs:
-        continue
-    check(f"total@{th}t",
-          base_runs[th]["stats"]["phase_seconds"]["total"],
-          run["stats"]["phase_seconds"]["total"], "time")
-
-print("event log (learn total with the log disarmed/armed):")
-# Keyed get: documents recorded before the events_overhead rows existed
-# still gate cleanly.
-ev_b, ev_c = bp.get("events_overhead"), cp.get("events_overhead")
-if ev_c and ev_b:
-    check("events_disarmed_total", ev_b["disarmed_seconds"],
-          ev_c["disarmed_seconds"], "time")
-    check("events_armed_total", ev_b["armed_seconds"],
-          ev_c["armed_seconds"], "time")
-if ev_c:
-    # Structural, machine-independent: arming the event log must not cost
-    # learn() wall-clock beyond noise of the same document's disarmed run.
-    check("events_armed_vs_disarmed", ev_c["disarmed_seconds"],
-          ev_c["armed_seconds"], "time")
-
-print("service (cold/warm QPS per worker count):")
-bs = load(base_dir, "BENCH_service.json")
-cs = load(cand_dir, "BENCH_service.json")
-base_runs = {r["workers"]: r for r in bs["runs"]}
-for run in cs["runs"]:
-    w = run["workers"]
-    if w not in base_runs:
-        continue
-    check(f"cold_qps@{w}w", base_runs[w]["cold_qps"], run["cold_qps"], "rate")
-    check(f"warm_qps@{w}w", base_runs[w]["warm_qps"], run["warm_qps"], "rate")
-
-print("router (routed cold/warm QPS per replica count):")
-base_router = {r["replicas"]: r for r in bs.get("router_runs", [])}
-for run in cs.get("router_runs", []):
-    n = run["replicas"]
-    if n not in base_router:
-        continue
-    check(f"router_cold_qps@{n}r", base_router[n]["cold_qps"],
-          run["cold_qps"], "rate")
-    check(f"router_warm_qps@{n}r", base_router[n]["warm_qps"],
-          run["warm_qps"], "rate")
-
-print("hedged tail (routed p99 with one slow replica):")
-# Keyed lookups skip modes absent from the baseline, so documents recorded
-# before the hedged rows existed still gate cleanly.
-base_hedged = {r["mode"]: r for r in bs.get("hedged_runs", [])}
-cand_hedged = {r["mode"]: r for r in cs.get("hedged_runs", [])}
-for mode, run in sorted(cand_hedged.items()):
-    if mode in base_hedged:
-        check(f"p99@{mode}", base_hedged[mode]["p99_ms"] / 1e3,
-              run["p99_ms"] / 1e3, "time")
-if "hedged" in cand_hedged and "unhedged" in cand_hedged:
-    hedged = cand_hedged["hedged"]
-    unhedged = cand_hedged["unhedged"]
-    bad = hedged["p99_ms"] > unhedged["p99_ms"]
-    mark = "FAIL" if bad else "ok"
-    print(f"  {mark:4} {'hedged p99 <= unhedged p99':40} "
-          f"unhedged={unhedged['p99_ms']:g}ms hedged={hedged['p99_ms']:g}ms")
-    if bad:
-        failures.append("hedged_p99_vs_unhedged")
-    if hedged.get("hedged_wins", 0) <= 0:
-        print("  FAIL hedged run recorded no hedged_wins")
-        failures.append("hedged_wins")
-
-if failures:
-    print(f"bench regression past tolerance: {', '.join(failures)}")
-    sys.exit(1)
-print("bench within tolerance")
+for p in problems:
+    print(f"FAIL {p}")
+print("bench_compare: " + ("FAIL" if problems else "ok, change within "
+                          "every bound of its parent"))
+sys.exit(1 if problems else 0)
 EOF

@@ -112,6 +112,15 @@ TEST(Cli, UnknownFlagsNameTokenAndExit2) {
     EXPECT_NE(R.Output.find(C.Token), std::string::npos)
         << C.Args << ": " << R.Output;
   }
+
+  // Training writes no events, so learn/train take no --events: the flag
+  // is rejected before its file is created.
+  std::string Events = testing::TempDir() + "cli_test_train_events.jsonl";
+  std::filesystem::remove(Events);
+  RunResult R = runCli("train a.mini -o a.uspb --events " + Events);
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("'--events'"), std::string::npos) << R.Output;
+  EXPECT_FALSE(std::filesystem::exists(Events));
 }
 
 TEST(Cli, StrayPositionalsAreErrors) {

@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -172,6 +173,11 @@ ProcSample sampleProc() {
 /// is not counted; a stuck handler never lets live() reach 0.
 void churnConnections(const std::string &Path,
                       const service::LineServer &Conns) {
+  // glibc maps a 64 MB malloc arena when a new handler thread allocates
+  // while another is still exiting; with at most two arenas, VmSize moves
+  // only with threads and their stacks. gtest_discover_tests runs each test
+  // in its own process, so the cap reaches no other test.
+  mallopt(M_ARENA_MAX, 2);
   ProcSample At100, Max;
   for (int I = 1; I <= 5000; ++I) {
     std::string Resp, Err;
@@ -187,8 +193,7 @@ void churnConnections(const std::string &Path,
     Max.Tasks = std::max(Max.Tasks, S.Tasks);
     Max.VmSizeKb = std::max(Max.VmSizeKb, S.VmSizeKb);
   }
-  // A finished handler may still be exiting before its join, and glibc may
-  // map one more 64 MB malloc arena when two handlers overlap. A leak grows
+  // A finished handler may still be exiting before its join. A leak grows
   // by one thread and one 8 MB stack per connection: 39 GB here.
   EXPECT_LE(Max.Tasks - At100.Tasks, 3);
   EXPECT_LE(Max.VmSizeKb - At100.VmSizeKb, 256 * 1024);

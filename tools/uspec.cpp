@@ -109,8 +109,9 @@
 //       epoch, every pid gets process_name metadata, and flow events link
 //       router forwards to the replica request spans that carry the same
 //       trace id. `top` renders a one-shot (or --watch, refreshing) fleet
-//       summary from a router or serve socket. `events` prints a structured event log (--events /
-//       USPEC_EVENTS), optionally filtered by --type and tailed by
+//       summary from a router or serve socket. `events` prints a
+//       structured event log (`serve`/`route --events`, or USPEC_EVENTS in
+//       any subcommand), optionally filtered by --type and tailed by
 //       --follow.
 //
 //   uspec check   FILES...
@@ -196,8 +197,8 @@ int usage() {
       "  uspec obs events FILE [--follow] [--type T]\n"
       "  uspec check FILES...\n"
       "(USPEC_TRACE=t.json arms --trace for any subcommand;\n"
-      " USPEC_EVENTS=e.jsonl arms --events the same way; serve, route and\n"
-      " learn/train also take --events FILE directly)\n");
+      " USPEC_EVENTS=e.jsonl arms --events the same way; serve and route\n"
+      " also take --events FILE directly)\n");
   return 2;
 }
 
@@ -457,7 +458,7 @@ void printCandidates(const StringInterner &Strings, size_t NumPrograms,
 /// artifact out).
 int cmdLearnOrTrain(Args &A, bool Train) {
   std::vector<std::string> Files;
-  std::string OutPath, TracePath, EventsPath, JournalPath;
+  std::string OutPath, TracePath, JournalPath;
   double Tau = 0.6;
   uint64_t Seed = 0xC0FFEE;
   uint64_t Threads = 0; // 0 = hardware concurrency
@@ -486,11 +487,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
       if (!V)
         return missingValue(Cmd, Arg);
       TracePath = V;
-    } else if (!std::strcmp(Arg, "--events")) {
-      const char *V = A.next();
-      if (!V)
-        return missingValue(Cmd, Arg);
-      EventsPath = V;
     } else if (!std::strcmp(Arg, "--step-budget")) {
       const char *V = A.next();
       if (!V)
@@ -548,13 +544,6 @@ int cmdLearnOrTrain(Args &A, bool Train) {
   if (!TracePath.empty()) {
     std::string Err;
     if (!trace::startToFile(TracePath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  if (!EventsPath.empty()) {
-    std::string Err;
-    if (!events::startToFile(EventsPath, /*MaxBytes=*/0, &Err)) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 2;
     }
